@@ -171,8 +171,9 @@ fn bench_astar_search(c: &mut Criterion) {
     });
     c.bench_function("astar_full_flat_500nets", |b| {
         b.iter(|| {
+            let circuit = std::hint::black_box(&circuit);
             flat_router
-                .route_with_scratch(std::hint::black_box(&circuit), &mut scratch)
+                .route_prepared(circuit, &flat_router.prepare(circuit), &mut scratch)
                 .expect("routes")
         })
     });

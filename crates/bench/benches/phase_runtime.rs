@@ -21,6 +21,7 @@ use gsino_circuits::experiment::run_suite;
 use gsino_circuits::generator::generate;
 use gsino_circuits::spec::CircuitSpec;
 use gsino_core::budget::{uniform_budgets, Budgets, LengthModel};
+use gsino_core::cancel::CancelToken;
 use gsino_core::phase2::{
     prepare_instances, solve_prepared, RegionInstance, RegionMode, RegionSino, SinoEngine,
 };
@@ -166,7 +167,7 @@ fn id_phase1_speedup_report() -> (KernelTimings, ConnectivityCounts) {
         .route_prepared(&circuit, &conns)
         .expect("PR-1 ID routes");
     let (inc_routes, inc_stats) = incremental
-        .route_prepared(&circuit, &conns)
+        .route_prepared(&circuit, &conns, &CancelToken::never())
         .expect("incremental ID routes");
     assert_eq!(
         ref_routes, inc_routes,
@@ -183,7 +184,7 @@ fn id_phase1_speedup_report() -> (KernelTimings, ConnectivityCounts) {
     });
     let t_inc = time_median(reps, || {
         incremental
-            .route_prepared(&circuit, &conns)
+            .route_prepared(&circuit, &conns, &CancelToken::never())
             .expect("routes");
     });
     println!("== ID-path phase I, 500-net generator circuit (medians of {reps}) ==");
@@ -292,7 +293,15 @@ fn phase2_speedup_report() -> (KernelTimings, usize) {
     let work =
         prepare_instances(&grid, &routes, &budgets, &sens, 1).expect("prepared region instances");
     let solve = |engine: SinoEngine| {
-        solve_prepared(work.clone(), config, RegionMode::Sino, 1, engine).expect("region solve")
+        solve_prepared(
+            work.clone(),
+            config,
+            RegionMode::Sino,
+            1,
+            engine,
+            &CancelToken::never(),
+        )
+        .expect("region solve")
     };
     let reference = solve(SinoEngine::Reference);
     let incremental = solve(SinoEngine::Incremental);
@@ -312,7 +321,15 @@ fn phase2_speedup_report() -> (KernelTimings, usize) {
         let mut pool: Vec<Vec<RegionInstance>> = (0..reps).map(|_| work.clone()).collect();
         time_median(reps, move || {
             let work = pool.pop().expect("one prepared list per rep");
-            solve_prepared(work, config, RegionMode::Sino, 1, engine).expect("region solve");
+            solve_prepared(
+                work,
+                config,
+                RegionMode::Sino,
+                1,
+                engine,
+                &CancelToken::never(),
+            )
+            .expect("region solve");
         })
     };
     let t_ref = time_engine(SinoEngine::Reference);
@@ -390,6 +407,7 @@ fn phase3_speedup_report() -> (KernelTimings, usize, RefineStats) {
         RegionMode::Sino,
         1,
         SinoEngine::Incremental,
+        &CancelToken::never(),
     )
     .expect("region solve");
     let vth = 0.10;

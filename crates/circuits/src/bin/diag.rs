@@ -90,7 +90,7 @@ fn main() {
 
     // Per-region coupling profile under order-only (the ID+NO regime).
     use gsino_core::budget::{uniform_budgets, LengthModel};
-    use gsino_core::phase2::{solve_regions, RegionMode};
+    use gsino_core::phase2::{solve_regions_with_engine, RegionMode, SinoEngine};
     use gsino_core::violations::check;
     use gsino_grid::sensitivity::SensitivityModel;
     use gsino_lsk::table::NoiseTable;
@@ -107,7 +107,7 @@ fn main() {
         )
         .unwrap();
         let sens = SensitivityModel::new(rate, 2002 ^ 0xC1C);
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -115,6 +115,7 @@ fn main() {
             SolverConfig::default(),
             RegionMode::OrderOnly,
             0,
+            SinoEngine::Incremental,
         )
         .unwrap();
         let mut ks: Vec<f64> = Vec::new();

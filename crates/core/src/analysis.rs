@@ -119,7 +119,7 @@ impl NoiseProfile {
 mod tests {
     use super::*;
     use crate::budget::{uniform_budgets, LengthModel};
-    use crate::phase2::{solve_regions, RegionMode};
+    use crate::phase2::{solve_regions_with_engine, RegionMode, SinoEngine};
     use crate::router::{route_all, ShieldTerm, Weights};
     use gsino_grid::geom::{Point, Rect};
     use gsino_grid::net::Net;
@@ -152,7 +152,7 @@ mod tests {
             LengthModel::RoutedPath,
         )
         .unwrap();
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -160,6 +160,7 @@ mod tests {
             SolverConfig::default(),
             mode,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
         NoiseProfile::measure(&circuit, &grid, &routes, &sino, &table, 0.15)

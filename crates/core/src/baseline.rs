@@ -10,6 +10,7 @@
 //!   reserved nor minimized shielding area, the shields concentrate in
 //!   sensitive-dense regions and the routing area balloons (Table 3).
 
+use crate::cancel::CancelToken;
 use crate::pipeline::{run_flow, Approach, GsinoConfig, GsinoOutcome};
 use crate::Result;
 use gsino_grid::net::Circuit;
@@ -20,7 +21,7 @@ use gsino_grid::net::Circuit;
 ///
 /// Same conditions as [`crate::pipeline::run_gsino`].
 pub fn run_id_no(circuit: &Circuit, config: &GsinoConfig) -> Result<GsinoOutcome> {
-    run_flow(circuit, config, Approach::IdNo).map(|(o, _)| o)
+    run_flow(circuit, config, Approach::IdNo, &CancelToken::never()).map(|(o, _)| o)
 }
 
 /// Runs the iSINO baseline.
@@ -29,7 +30,7 @@ pub fn run_id_no(circuit: &Circuit, config: &GsinoConfig) -> Result<GsinoOutcome
 ///
 /// Same conditions as [`crate::pipeline::run_gsino`].
 pub fn run_isino(circuit: &Circuit, config: &GsinoConfig) -> Result<GsinoOutcome> {
-    run_flow(circuit, config, Approach::Isino).map(|(o, _)| o)
+    run_flow(circuit, config, Approach::Isino, &CancelToken::never()).map(|(o, _)| o)
 }
 
 #[cfg(test)]

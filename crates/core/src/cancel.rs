@@ -76,8 +76,12 @@ impl CancelToken {
         self.inner.as_ref().and_then(|i| i.deadline)
     }
 
-    /// A token that can never fire — what the one-shot entry points pass
-    /// so the cancellable drivers stay zero-cost on the non-session path.
+    /// A token that can never fire. Each phase has one implementation
+    /// that takes a token; [`crate::pipeline::run_gsino`], the baselines
+    /// and the plain entries ([`crate::router::IdRouter::route`],
+    /// [`crate::phase2::solve_regions_with_engine`],
+    /// [`crate::refine::refine`]) pass this one, so a poll costs one
+    /// branch off the session path.
     pub fn never() -> Self {
         CancelToken { inner: None }
     }

@@ -10,6 +10,7 @@
 //! identical for every thread count and work-stealing interleaving.
 
 use crate::budget::Budgets;
+use crate::cancel::CancelToken;
 use crate::Result;
 use gsino_grid::net::NetId;
 use gsino_grid::region::{RegionGrid, RegionIdx};
@@ -243,40 +244,14 @@ pub fn assignments(grid: &RegionGrid, routes: &RouteSet) -> Vec<((RegionIdx, Dir
     out
 }
 
-/// Solves every region with the production (incremental) engine.
+/// Solves every region with the chosen [`SinoEngine`]:
+/// [`prepare_instances`] followed by [`solve_prepared`].
 /// `threads = 0` uses the available parallelism.
 ///
 /// # Errors
 ///
 /// Propagates SINO construction/solver errors (budgets are validated
 /// upstream, so failures indicate internal bugs).
-pub fn solve_regions(
-    grid: &RegionGrid,
-    routes: &RouteSet,
-    budgets: &Budgets,
-    sensitivity: &SensitivityModel,
-    solver_config: SolverConfig,
-    mode: RegionMode,
-    threads: usize,
-) -> Result<RegionSino> {
-    solve_regions_with_engine(
-        grid,
-        routes,
-        budgets,
-        sensitivity,
-        solver_config,
-        mode,
-        threads,
-        SinoEngine::Incremental,
-    )
-}
-
-/// [`solve_regions`] with an explicit [`SinoEngine`]:
-/// [`prepare_instances`] followed by [`solve_prepared`].
-///
-/// # Errors
-///
-/// Same conditions as [`solve_regions`].
 #[allow(clippy::too_many_arguments)]
 pub fn solve_regions_with_engine(
     grid: &RegionGrid,
@@ -289,7 +264,14 @@ pub fn solve_regions_with_engine(
     engine: SinoEngine,
 ) -> Result<RegionSino> {
     let work = prepare_instances(grid, routes, budgets, sensitivity, threads)?;
-    solve_prepared(work, solver_config, mode, threads, engine)
+    solve_prepared(
+        work,
+        solver_config,
+        mode,
+        threads,
+        engine,
+        &CancelToken::never(),
+    )
 }
 
 /// One prepared per-region SINO problem (the Phase II analogue of the
@@ -445,43 +427,21 @@ pub fn solve_instance(
 /// pop interleaving produces the same [`RegionSino`] — parallelism is
 /// observationally free, and both [`SinoEngine`]s are bit-identical.
 ///
+/// `cancel` is polled before each region solve. On cancellation the
+/// partial result is discarded; no shared state has been touched, so
+/// transactional callers need nothing undone from this phase.
+///
 /// # Errors
 ///
-/// Propagates SINO solver errors (internal-invariant failures only).
+/// [`CoreError::Canceled`](crate::CoreError) once the token fires, plus
+/// SINO solver errors (internal-invariant failures only).
 pub fn solve_prepared(
     work: Vec<RegionInstance>,
     solver_config: SolverConfig,
     mode: RegionMode,
     threads: usize,
     engine: SinoEngine,
-) -> Result<RegionSino> {
-    solve_prepared_cancel(
-        work,
-        solver_config,
-        mode,
-        threads,
-        engine,
-        &crate::cancel::CancelToken::never(),
-    )
-}
-
-/// [`solve_prepared`] polling a [`CancelToken`](crate::cancel::CancelToken)
-/// before each region solve. On cancellation the partial result is
-/// discarded and [`CoreError::Canceled`](crate::CoreError) is
-/// returned; no shared state has been touched, so transactional callers
-/// need nothing undone from this phase.
-///
-/// # Errors
-///
-/// [`CoreError::Canceled`](crate::CoreError) once the token
-/// fires, plus the same solver errors as [`solve_prepared`].
-pub fn solve_prepared_cancel(
-    work: Vec<RegionInstance>,
-    solver_config: SolverConfig,
-    mode: RegionMode,
-    threads: usize,
-    engine: SinoEngine,
-    cancel: &crate::cancel::CancelToken,
+    cancel: &CancelToken,
 ) -> Result<RegionSino> {
     let threads = resolve_threads(threads);
     type Solved = ((RegionIdx, Dir), RegionSolution);
@@ -554,7 +514,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(rate, 3);
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -562,6 +522,7 @@ mod tests {
             SolverConfig::default(),
             mode,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
         (circuit, grid, sino)
@@ -622,7 +583,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(0.5, 3);
-        let serial = solve_regions(
+        let serial = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -630,9 +591,10 @@ mod tests {
             SolverConfig::default(),
             RegionMode::Sino,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
-        let parallel = solve_regions(
+        let parallel = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -640,6 +602,7 @@ mod tests {
             SolverConfig::default(),
             RegionMode::Sino,
             4,
+            SinoEngine::Incremental,
         )
         .unwrap();
         assert_eq!(serial, parallel);
@@ -687,6 +650,7 @@ mod tests {
             RegionMode::Sino,
             1,
             SinoEngine::Incremental,
+            &CancelToken::never(),
         )
         .unwrap();
         let solved_parallel = solve_prepared(
@@ -695,6 +659,7 @@ mod tests {
             RegionMode::Sino,
             4,
             SinoEngine::Incremental,
+            &CancelToken::never(),
         )
         .unwrap();
         assert_eq!(solved_serial, solved_parallel);

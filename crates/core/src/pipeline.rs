@@ -4,9 +4,10 @@ use crate::budget::{
     budgets_with_constraints, congestion_weighted_budgets, uniform_budgets, BudgetPolicy, Budgets,
     LengthModel,
 };
+use crate::cancel::CancelToken;
 use crate::metrics::{wirelength_stats, WirelengthStats};
-use crate::phase2::{solve_regions_with_engine, RegionMode, RegionSino, SinoEngine};
-use crate::refine::{refine, RefineConfig, RefineStats};
+use crate::phase2::{prepare_instances, solve_prepared, RegionMode, RegionSino, SinoEngine};
+use crate::refine::{refine_cancel, RefineConfig, RefineStats};
 use crate::router::{AstarRouter, IdRouter, RouterStats, ShieldTerm, Weights};
 use crate::violations::{check, ViolationReport};
 use crate::{CoreError, Result};
@@ -329,7 +330,8 @@ impl GsinoConfigBuilder {
 /// Wall-clock seconds per phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Global routing (Phase I's ID run, including budgeting inputs).
+    /// Phase I: the Formula (3) fit (when no model is pre-fitted) plus
+    /// whichever router is configured.
     pub route_s: f64,
     /// Crosstalk budgeting.
     pub budget_s: f64,
@@ -369,21 +371,13 @@ pub struct GsinoOutcome {
     pub refine_stats: Option<RefineStats>,
 }
 
-/// Shared flow context retained for follow-up analysis.
-pub(crate) struct FlowArtifacts {
-    pub grid: RegionGrid,
-    pub table: NoiseTable,
-    pub budgets: Budgets,
-    pub sino: RegionSino,
-}
-
 /// Runs the full GSINO flow on a circuit.
 ///
 /// # Errors
 ///
 /// Configuration, routing and solver errors; see [`CoreError`].
 pub fn run_gsino(circuit: &Circuit, config: &GsinoConfig) -> Result<GsinoOutcome> {
-    run_flow(circuit, config, Approach::Gsino).map(|(o, _)| o)
+    run_flow(circuit, config, Approach::Gsino, &CancelToken::never()).map(|(o, _)| o)
 }
 
 /// Runs a flow and also returns its internal artifacts (grids, budgets,
@@ -397,16 +391,7 @@ pub fn run_flow_with_artifacts(
     config: &GsinoConfig,
     approach: Approach,
 ) -> Result<(GsinoOutcome, FlowInternals)> {
-    let (o, a) = run_flow(circuit, config, approach)?;
-    Ok((
-        o,
-        FlowInternals {
-            grid: a.grid,
-            table: a.table,
-            budgets: a.budgets,
-            sino: a.sino,
-        },
-    ))
+    run_flow(circuit, config, approach, &CancelToken::never())
 }
 
 /// Public view of the flow artifacts.
@@ -421,104 +406,39 @@ pub struct FlowInternals {
     pub sino: RegionSino,
 }
 
+/// The flow's state after Phase II, before refinement: what
+/// [`pre_refine`] hands to [`run_flow`] and to the ECO session.
+pub(crate) struct PreRefine {
+    pub grid: RegionGrid,
+    pub table: NoiseTable,
+    pub routes: RouteSet,
+    pub router_stats: RouterStats,
+    pub budgets: Budgets,
+    pub sino: RegionSino,
+}
+
+/// The one flow driver: [`pre_refine`], then Phase III in place (GSINO
+/// only), then the area, wire-length and violation report.
 pub(crate) fn run_flow(
     circuit: &Circuit,
     config: &GsinoConfig,
     approach: Approach,
-) -> Result<(GsinoOutcome, FlowArtifacts)> {
-    config.validate()?;
+    cancel: &CancelToken,
+) -> Result<(GsinoOutcome, FlowInternals)> {
     let t_start = Instant::now();
-    let grid = RegionGrid::new(circuit, &config.tech, config.tile_um)?;
-    let table = NoiseTable::calibrated(&config.tech);
+    let (pre, mut timings) = pre_refine(circuit, config, approach, cancel)?;
+    let PreRefine {
+        grid,
+        table,
+        routes,
+        router_stats,
+        mut budgets,
+        mut sino,
+    } = pre;
 
-    // Routing: GSINO reserves shielding area through Formula (3); the
-    // baselines route with net utilization only (paper §4).
-    let t0 = Instant::now();
-    let shield_term = match approach {
-        Approach::Gsino if config.shield_reservation => {
-            let model = match &config.nss_model {
-                Some(m) => m.clone(),
-                None => {
-                    let kth_ref = reference_kth(circuit, &table, config.vth);
-                    NssModel::fit(kth_ref, config.nss_fit_seed)?
-                }
-            };
-            ShieldTerm::Estimated {
-                model,
-                rate: config.sensitivity.rate(),
-            }
-        }
-        _ => ShieldTerm::None,
-    };
-    let (routes, router_stats) = match config.router {
-        RouterKind::IterativeDeletion => {
-            IdRouter::new(&grid, config.weights, shield_term).route(circuit)?
-        }
-        // Phase I parallelism honours the same thread budget as Phase II;
-        // the speculative batches commit in sequential order, so the
-        // output is identical for every thread count.
-        RouterKind::SequentialAstar => AstarRouter::new(&grid, config.weights, shield_term)
-            .route_with_threads(circuit, config.threads)?,
-    };
-    let route_s = t0.elapsed().as_secs_f64();
-
-    // Budgeting: GSINO budgets before knowing final lengths (Manhattan);
-    // iSINO budgets after routing (path lengths); ID+NO ignores budgets but
-    // needs positive Kth placeholders for its instances.
-    let t0 = Instant::now();
-    let length_model = match approach {
-        Approach::Isino => LengthModel::RoutedPath,
-        _ => LengthModel::Manhattan,
-    };
-    let mut budgets = match config.budget_policy {
-        BudgetPolicy::Uniform if !config.vth_overrides.is_empty() => budgets_with_constraints(
-            circuit,
-            &grid,
-            &routes,
-            &table,
-            &|net, sink| config.vth_for(net, sink),
-            length_model,
-        )?,
-        BudgetPolicy::Uniform => {
-            uniform_budgets(circuit, &grid, &routes, &table, config.vth, length_model)?
-        }
-        BudgetPolicy::CongestionWeighted => {
-            let usage = TrackUsage::from_routes(&grid, &routes);
-            congestion_weighted_budgets(
-                circuit,
-                &grid,
-                &routes,
-                &usage,
-                &table,
-                config.vth,
-                length_model,
-            )?
-        }
-    };
-    let budget_s = t0.elapsed().as_secs_f64();
-
-    // Phase II.
-    let t0 = Instant::now();
-    let mode = match approach {
-        Approach::IdNo => RegionMode::OrderOnly,
-        _ => RegionMode::Sino,
-    };
-    let mut sino = solve_regions_with_engine(
-        &grid,
-        &routes,
-        &budgets,
-        &config.sensitivity,
-        config.solver,
-        mode,
-        config.threads,
-        config.sino_engine,
-    )?;
-    let sino_s = t0.elapsed().as_secs_f64();
-
-    // Phase III (GSINO only).
     let t0 = Instant::now();
     let refine_stats = if approach == Approach::Gsino {
-        Some(refine(
+        Some(refine_cancel(
             circuit,
             &grid,
             &routes,
@@ -528,11 +448,12 @@ pub(crate) fn run_flow(
             config.vth,
             config.solver,
             &config.refine,
+            cancel,
         )?)
     } else {
         None
     };
-    let refine_s = t0.elapsed().as_secs_f64();
+    timings.refine_s = t0.elapsed().as_secs_f64();
 
     let mut usage = TrackUsage::from_routes(&grid, &routes);
     let area_nets_only = AreaModel.evaluate(&grid, &usage);
@@ -541,6 +462,7 @@ pub(crate) fn run_flow(
     let wirelength = wirelength_stats(circuit, &grid, &routes);
     let violations = check(circuit, &grid, &routes, &sino, &table, config.vth);
     let total_shields = sino.total_shields();
+    timings.total_s = t_start.elapsed().as_secs_f64();
     let outcome = GsinoOutcome {
         approach,
         routes,
@@ -551,24 +473,171 @@ pub(crate) fn run_flow(
         violations,
         total_shields,
         router_stats,
-        timings: PhaseTimings {
-            route_s,
-            budget_s,
-            sino_s,
-            refine_s,
-            total_s: t_start.elapsed().as_secs_f64(),
-        },
+        timings,
         refine_stats,
     };
     Ok((
         outcome,
-        FlowArtifacts {
+        FlowInternals {
             grid,
             table,
             budgets,
             sino,
         },
     ))
+}
+
+/// Everything before refinement: grid, noise table, [`route_stage`],
+/// [`budget_stage`] and Phase II, timed per stage (`refine_s` and
+/// `total_s` are left at zero for the caller).
+pub(crate) fn pre_refine(
+    circuit: &Circuit,
+    config: &GsinoConfig,
+    approach: Approach,
+    cancel: &CancelToken,
+) -> Result<(PreRefine, PhaseTimings)> {
+    config.validate()?;
+    let grid = RegionGrid::new(circuit, &config.tech, config.tile_um)?;
+    let table = NoiseTable::calibrated(&config.tech);
+
+    let t0 = Instant::now();
+    let (routes, router_stats) = route_stage(circuit, config, approach, &grid, &table, cancel)?;
+    let route_s = t0.elapsed().as_secs_f64();
+
+    let t0 = Instant::now();
+    let budgets = budget_stage(circuit, config, approach, &grid, &routes, &table, cancel)?;
+    let budget_s = t0.elapsed().as_secs_f64();
+
+    // Phase II.
+    let t0 = Instant::now();
+    let mode = match approach {
+        Approach::IdNo => RegionMode::OrderOnly,
+        _ => RegionMode::Sino,
+    };
+    let work = prepare_instances(
+        &grid,
+        &routes,
+        &budgets,
+        &config.sensitivity,
+        config.threads,
+    )?;
+    let sino = solve_prepared(
+        work,
+        config.solver,
+        mode,
+        config.threads,
+        config.sino_engine,
+        cancel,
+    )?;
+    let sino_s = t0.elapsed().as_secs_f64();
+
+    let pre = PreRefine {
+        grid,
+        table,
+        routes,
+        router_stats,
+        budgets,
+        sino,
+    };
+    let timings = PhaseTimings {
+        route_s,
+        budget_s,
+        sino_s,
+        ..PhaseTimings::default()
+    };
+    Ok((pre, timings))
+}
+
+/// Phase I: builds the shield term and runs the configured router.
+///
+/// GSINO reserves shielding area through Formula (3), fitting the model
+/// here unless one is pre-fitted (the fit depends on the netlist, so it
+/// is never cached across topology edits); the baselines route with net
+/// utilization only (paper §4).
+pub(crate) fn route_stage(
+    circuit: &Circuit,
+    config: &GsinoConfig,
+    approach: Approach,
+    grid: &RegionGrid,
+    table: &NoiseTable,
+    cancel: &CancelToken,
+) -> Result<(RouteSet, RouterStats)> {
+    let shield_term = match approach {
+        Approach::Gsino if config.shield_reservation => {
+            let model = match &config.nss_model {
+                Some(m) => m.clone(),
+                None => NssModel::fit(
+                    reference_kth(circuit, table, config.vth),
+                    config.nss_fit_seed,
+                )?,
+            };
+            ShieldTerm::Estimated {
+                model,
+                rate: config.sensitivity.rate(),
+            }
+        }
+        _ => ShieldTerm::None,
+    };
+    match config.router {
+        RouterKind::IterativeDeletion => {
+            let router = IdRouter::new(grid, config.weights, shield_term);
+            router.route_prepared(circuit, &router.prepare(circuit), cancel)
+        }
+        // Phase I parallelism honours the same thread budget as Phase II;
+        // the speculative batches commit in sequential order, so the
+        // output is identical for every thread count. The batches poll no
+        // token, so the deadline is checked once before routing starts.
+        RouterKind::SequentialAstar => {
+            cancel.check("phase1")?;
+            AstarRouter::new(grid, config.weights, shield_term)
+                .route_with_threads(circuit, config.threads)
+        }
+    }
+}
+
+/// Crosstalk budgeting for `approach`: GSINO budgets before knowing final
+/// lengths (Manhattan); iSINO budgets after routing (path lengths); ID+NO
+/// ignores budgets but needs positive Kth placeholders for its instances.
+/// Per-sink constraint overrides are honoured under the uniform policy.
+pub(crate) fn budget_stage(
+    circuit: &Circuit,
+    config: &GsinoConfig,
+    approach: Approach,
+    grid: &RegionGrid,
+    routes: &RouteSet,
+    table: &NoiseTable,
+    cancel: &CancelToken,
+) -> Result<Budgets> {
+    cancel.check("budget")?;
+    let length_model = match approach {
+        Approach::Isino => LengthModel::RoutedPath,
+        _ => LengthModel::Manhattan,
+    };
+    match config.budget_policy {
+        BudgetPolicy::Uniform if !config.vth_overrides.is_empty() => budgets_with_constraints(
+            circuit,
+            grid,
+            routes,
+            table,
+            &|net, sink| config.vth_for(net, sink),
+            length_model,
+        ),
+        BudgetPolicy::Uniform => {
+            uniform_budgets(circuit, grid, routes, table, config.vth, length_model)
+        }
+        BudgetPolicy::CongestionWeighted => {
+            let usage = TrackUsage::from_routes(grid, routes);
+            congestion_weighted_budgets(
+                circuit,
+                grid,
+                routes,
+                &usage,
+                table,
+                config.vth,
+                length_model,
+            )
+        }
+    }
 }
 
 /// Representative segment budget for fitting Formula (3) before any route

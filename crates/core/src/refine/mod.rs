@@ -565,7 +565,7 @@ fn debug_oracle(
 mod tests {
     use super::*;
     use crate::budget::{uniform_budgets, LengthModel};
-    use crate::phase2::{solve_regions, RegionMode};
+    use crate::phase2::{solve_regions_with_engine, RegionMode, SinoEngine};
     use crate::router::{route_all, ShieldTerm, Weights};
     use gsino_grid::geom::{Point, Rect};
     use gsino_grid::net::{Circuit, Net};
@@ -612,7 +612,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(0.5, 3);
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -620,6 +620,7 @@ mod tests {
             SolverConfig::default(),
             RegionMode::Sino,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
         (circuit, grid, routes, table, budgets, sino)

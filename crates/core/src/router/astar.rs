@@ -115,7 +115,7 @@ impl<'a> AstarRouter<'a> {
     /// be reached or route assembly fails.
     pub fn route(&self, circuit: &Circuit) -> Result<(RouteSet, super::RouterStats)> {
         let mut scratch = self.make_scratch();
-        self.route_with_scratch(circuit, &mut scratch)
+        self.route_prepared(circuit, &self.prepare(circuit), &mut scratch)
     }
 
     /// Routes the circuit, batching independent connections across
@@ -163,21 +163,6 @@ impl<'a> AstarRouter<'a> {
             return self.route_prepared(circuit, conns, &mut scratch);
         }
         self.route_parallel(circuit, conns, threads)
-    }
-
-    /// Routes the circuit sequentially, reusing caller-owned scratch space
-    /// (epoch stamping makes consecutive calls independent).
-    ///
-    /// # Errors
-    ///
-    /// See [`AstarRouter::route`].
-    pub fn route_with_scratch(
-        &self,
-        circuit: &Circuit,
-        scratch: &mut SearchScratch,
-    ) -> Result<(RouteSet, super::RouterStats)> {
-        let conns = self.prepare(circuit);
-        self.route_prepared(circuit, &conns, scratch)
     }
 
     /// Routes pre-decomposed connections (see [`AstarRouter::prepare`])
@@ -619,9 +604,14 @@ mod tests {
         );
         let router = AstarRouter::new(&grid, Weights::default(), ShieldTerm::None);
         let mut scratch = router.make_scratch();
-        let (a, _) = router.route_with_scratch(&circuit, &mut scratch).unwrap();
+        let conns = router.prepare(&circuit);
+        let (a, _) = router
+            .route_prepared(&circuit, &conns, &mut scratch)
+            .unwrap();
         // Same scratch, second run: epoch stamping must isolate it fully.
-        let (b, _) = router.route_with_scratch(&circuit, &mut scratch).unwrap();
+        let (b, _) = router
+            .route_prepared(&circuit, &conns, &mut scratch)
+            .unwrap();
         let (fresh, _) = router.route(&circuit).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, fresh);

@@ -212,46 +212,18 @@ impl<'a> IdRouter<'a> {
     /// net's connections could not be assembled into a pin-spanning tree
     /// (internal invariant violation).
     pub fn route(&self, circuit: &Circuit) -> Result<(RouteSet, RouterStats)> {
-        let conns = self.prepare(circuit);
-        self.route_prepared(circuit, &conns)
+        self.route_prepared(circuit, &self.prepare(circuit), &CancelToken::never())
     }
 
-    /// [`Self::route`] polling a [`CancelToken`] between deletion batches,
-    /// so an ECO replay under a deadline can abandon Phase I cleanly.
+    /// Routes pre-decomposed connections (the output of [`Self::prepare`]),
+    /// so benches can compare deletion kernels without the identical
+    /// decomposition cost drowning the signal — mirroring
+    /// [`super::AstarRouter::route_prepared`].
     ///
-    /// # Errors
-    ///
-    /// [`CoreError::Canceled`](crate::CoreError) once the token
-    /// fires, plus the same conditions as [`Self::route`].
-    pub fn route_cancel(
-        &self,
-        circuit: &Circuit,
-        cancel: &CancelToken,
-    ) -> Result<(RouteSet, RouterStats)> {
-        let conns = self.prepare(circuit);
-        self.route_prepared_cancel(circuit, &conns, cancel)
-    }
-
-    /// Routes pre-decomposed connections (the ID loop without the shared
-    /// Steiner preprocessing), so benches can compare deletion kernels
-    /// without the identical decomposition cost drowning the signal —
-    /// mirroring [`super::AstarRouter::route_prepared`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::route`].
-    pub fn route_prepared(
-        &self,
-        circuit: &Circuit,
-        connections: &[Connection],
-    ) -> Result<(RouteSet, RouterStats)> {
-        self.route_prepared_cancel(circuit, connections, &CancelToken::never())
-    }
-
-    /// [`Self::route_prepared`] polling a [`CancelToken`] once per deletion
-    /// batch (every `CANCEL_POLL_POPS` heap pops): often enough that a
-    /// fired deadline stops the run within a fraction of a batch, rare
-    /// enough that the never-token path costs one branch per pop. The
+    /// `cancel` is polled once per deletion batch (every
+    /// `CANCEL_POLL_POPS` heap pops): often enough that a fired deadline
+    /// stops the run within a fraction of a batch, rare enough that
+    /// [`CancelToken::never`] costs one branch per pop. The
     /// partially-deleted corridor state is local to this call, so
     /// cancellation leaves nothing to undo.
     ///
@@ -259,7 +231,7 @@ impl<'a> IdRouter<'a> {
     ///
     /// [`CoreError::Canceled`](crate::CoreError) once the token
     /// fires, plus the same conditions as [`Self::route`].
-    pub fn route_prepared_cancel(
+    pub fn route_prepared(
         &self,
         circuit: &Circuit,
         connections: &[Connection],

@@ -37,14 +37,17 @@
 //!   routes stand; the edited net's budget entries are recomputed through
 //!   the noise table and only regions whose `Kth` changed are re-solved.
 //! * **Topology** ([`EcoEdit::Circuit`]): iterative deletion couples all
-//!   nets through the shared demand field, so Phase I re-runs on the
-//!   edited netlist — but Phase II solutions are reused bitwise for every
-//!   region whose occupants and budgets are unchanged.
+//!   nets through the shared demand field, so Phase I (routing and
+//!   budgeting) re-runs on the edited netlist — but Phase II solutions are
+//!   reused bitwise for every region whose occupants and budgets are
+//!   unchanged.
 //! * **Full rebuild** ([`EcoEdit::Retile`] / [`EcoEdit::Reweight`]):
 //!   everything is invalidated; the flow re-runs from scratch.
 //!
-//! Phase III always re-runs on clones of the pre-refine state: refinement
-//! is deterministic, so its output is bit-identical to a from-scratch run
+//! The session has no flow of its own: full rebuilds and the topology rung
+//! call the same stages [`crate::pipeline::run_gsino`] runs. Phase III
+//! always re-runs on clones of the pre-refine state: refinement is
+//! deterministic, so its output is bit-identical to a from-scratch run
 //! whenever its inputs are — which is exactly the invariant the session
 //! maintains.
 //!
@@ -111,18 +114,14 @@ pub use edit::{EcoEdit, EditClass};
 pub use fault::{FaultKind, FaultPlan};
 pub use oracle::OracleConfig;
 
-use crate::budget::{
-    budgets_with_constraints, net_budget_entries, uniform_budgets, BudgetPolicy, Budgets,
-    LengthModel,
-};
+use crate::budget::{net_budget_entries, BudgetPolicy, Budgets, LengthModel};
 use crate::cancel::CancelToken;
 use crate::phase2::{
-    assignments, build_instance, prepare_instances, solve_instance, solve_prepared_cancel,
-    RegionMode, RegionSino, RegionSolution,
+    assignments, build_instance, solve_instance, RegionMode, RegionSino, RegionSolution,
 };
-use crate::pipeline::{reference_kth, GsinoConfig, RouterKind};
+use crate::pipeline::{budget_stage, pre_refine, route_stage, Approach, GsinoConfig, PreRefine};
 use crate::refine::{refine_cancel, RefineStats};
-use crate::router::{AstarRouter, IdRouter, RouterStats, ShieldTerm};
+use crate::router::RouterStats;
 use crate::violations::{check, ViolationReport};
 use crate::{CoreError, Result};
 use gsino_grid::net::Circuit;
@@ -130,7 +129,6 @@ use gsino_grid::region::{RegionGrid, RegionIdx};
 use gsino_grid::route::{Dir, RouteSet};
 use gsino_lsk::table::NoiseTable;
 use gsino_sino::delta::DeltaEval;
-use gsino_sino::nss::NssModel;
 use gsino_sino::warm::budget_swap_preserves_solution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -352,6 +350,8 @@ impl EcoSession {
         // build on. Detecting a corruption *before* replaying makes
         // recovery deterministic — the degraded rebuild below restores a
         // clean pre-edit snapshot, and the replay proceeds on top of it.
+        // The rebuild ignores `cancel`: a fired deadline must not leave the
+        // known-bad cache installed, so only the replay honours it.
         if let Some(reason) = oracle::audit(
             &self.state,
             self.oracle.effective_audit(),
@@ -362,7 +362,7 @@ impl EcoSession {
                 reason,
                 self.state.circuit.clone(),
                 self.state.config.clone(),
-                cancel,
+                &CancelToken::never(),
             )?;
         }
 
@@ -469,8 +469,17 @@ impl EcoSession {
         // equals RegionGrid::new on the edited circuit.
         let grid = self.state.grid.clone();
         let table = self.state.table.clone();
-        let (routes, router_stats) = route_phase1(&circuit, &config, &grid, &table, cancel)?;
-        let budgets0 = budget_phase(&circuit, &config, &grid, &routes, &table)?;
+        let (routes, router_stats) =
+            route_stage(&circuit, &config, Approach::Gsino, &grid, &table, cancel)?;
+        let budgets0 = budget_stage(
+            &circuit,
+            &config,
+            Approach::Gsino,
+            &grid,
+            &routes,
+            &table,
+            cancel,
+        )?;
         let mut sino0 = RegionSino::default();
         let mut patched = Vec::new();
         let mut scratch = DeltaEval::new();
@@ -500,18 +509,15 @@ impl EcoSession {
                 self.stats.regions_resolved += 1;
             }
         }
-        let next = finish_with_refine(
-            circuit,
-            config,
+        let pre = PreRefine {
             grid,
             table,
             routes,
             router_stats,
-            budgets0,
-            sino0,
-            cancel,
-        )?;
-        Ok((next, patched))
+            budgets: budgets0,
+            sino: sino0,
+        };
+        Ok((finish_with_refine(circuit, config, pre, cancel)?, patched))
     }
 
     /// Budget-only rung: routes stand; recompute the edited nets' budget
@@ -599,18 +605,15 @@ impl EcoSession {
             patched.push((r, dir));
         }
         self.stats.regions_reused += (sino0.len() - patched.len()) as u64;
-        let next = finish_with_refine(
-            circuit,
-            config,
+        let pre = PreRefine {
             grid,
             table,
             routes,
             router_stats,
-            budgets0,
-            sino0,
-            cancel,
-        )?;
-        Ok((next, patched))
+            budgets: budgets0,
+            sino: sino0,
+        };
+        Ok((finish_with_refine(circuit, config, pre, cancel)?, patched))
     }
 
     /// The routed circuit the session currently tracks.
@@ -695,115 +698,15 @@ impl EcoSession {
 }
 
 impl SessionState {
-    /// The full GSINO flow, stage for stage identical to
-    /// [`crate::pipeline::run_gsino`], keeping the pre-refine caches.
+    /// The full GSINO flow: the pipeline's own pre-refine stages, then
+    /// [`finish_with_refine`], so the pre-refine caches are kept.
     fn rebuild(
         circuit: Circuit,
         config: GsinoConfig,
         cancel: &CancelToken,
     ) -> Result<SessionState> {
-        config.validate()?;
-        let grid = RegionGrid::new(&circuit, &config.tech, config.tile_um)?;
-        let table = NoiseTable::calibrated(&config.tech);
-        let (routes, router_stats) = route_phase1(&circuit, &config, &grid, &table, cancel)?;
-        let budgets0 = budget_phase(&circuit, &config, &grid, &routes, &table)?;
-        let work = prepare_instances(
-            &grid,
-            &routes,
-            &budgets0,
-            &config.sensitivity,
-            config.threads,
-        )?;
-        let sino0 = solve_prepared_cancel(
-            work,
-            config.solver,
-            RegionMode::Sino,
-            config.threads,
-            config.sino_engine,
-            cancel,
-        )?;
-        finish_with_refine(
-            circuit,
-            config,
-            grid,
-            table,
-            routes,
-            router_stats,
-            budgets0,
-            sino0,
-            cancel,
-        )
-    }
-}
-
-/// Phase I exactly as [`crate::pipeline::run_gsino`] runs it for the
-/// GSINO approach: shield-aware weights (re-fitting Formula (3) when no
-/// pre-fitted model is configured — the fit depends on the netlist, so
-/// topology replays must not cache it) and the configured router.
-fn route_phase1(
-    circuit: &Circuit,
-    config: &GsinoConfig,
-    grid: &RegionGrid,
-    table: &NoiseTable,
-    cancel: &CancelToken,
-) -> Result<(RouteSet, RouterStats)> {
-    let shield_term = if config.shield_reservation {
-        let model = match &config.nss_model {
-            Some(m) => m.clone(),
-            None => {
-                let kth_ref = reference_kth(circuit, table, config.vth);
-                NssModel::fit(kth_ref, config.nss_fit_seed)?
-            }
-        };
-        ShieldTerm::Estimated {
-            model,
-            rate: config.sensitivity.rate(),
-        }
-    } else {
-        ShieldTerm::None
-    };
-    match config.router {
-        RouterKind::IterativeDeletion => {
-            IdRouter::new(grid, config.weights, shield_term).route_cancel(circuit, cancel)
-        }
-        RouterKind::SequentialAstar => {
-            // The A* batches poll no token internally; the deadline is
-            // honoured between stages only.
-            cancel.check("phase1")?;
-            AstarRouter::new(grid, config.weights, shield_term)
-                .route_with_threads(circuit, config.threads)
-        }
-    }
-}
-
-/// Phase I budgeting exactly as [`crate::pipeline::run_gsino`] runs it
-/// for the GSINO approach (Manhattan estimates; constraint overrides
-/// honoured).
-fn budget_phase(
-    circuit: &Circuit,
-    config: &GsinoConfig,
-    grid: &RegionGrid,
-    routes: &RouteSet,
-    table: &NoiseTable,
-) -> Result<Budgets> {
-    if config.vth_overrides.is_empty() {
-        uniform_budgets(
-            circuit,
-            grid,
-            routes,
-            table,
-            config.vth,
-            LengthModel::Manhattan,
-        )
-    } else {
-        budgets_with_constraints(
-            circuit,
-            grid,
-            routes,
-            table,
-            &|n, s| config.vth_for(n, s),
-            LengthModel::Manhattan,
-        )
+        let (pre, _) = pre_refine(&circuit, &config, Approach::Gsino, cancel)?;
+        finish_with_refine(circuit, config, pre, cancel)
     }
 }
 
@@ -811,27 +714,21 @@ fn budget_phase(
 /// snapshot. Refinement is deterministic, so the post-refine state is
 /// bit-identical to a from-scratch run whenever the pre-refine inputs
 /// are.
-#[allow(clippy::too_many_arguments)]
 fn finish_with_refine(
     circuit: Circuit,
     config: GsinoConfig,
-    grid: RegionGrid,
-    table: NoiseTable,
-    routes: RouteSet,
-    router_stats: RouterStats,
-    budgets0: Budgets,
-    sino0: RegionSino,
+    pre: PreRefine,
     cancel: &CancelToken,
 ) -> Result<SessionState> {
-    let mut budgets = budgets0.clone();
-    let mut sino = sino0.clone();
+    let mut budgets = pre.budgets.clone();
+    let mut sino = pre.sino.clone();
     let refine_stats = refine_cancel(
         &circuit,
-        &grid,
-        &routes,
+        &pre.grid,
+        &pre.routes,
         &mut budgets,
         &mut sino,
-        &table,
+        &pre.table,
         config.vth,
         config.solver,
         &config.refine,
@@ -840,12 +737,12 @@ fn finish_with_refine(
     Ok(SessionState {
         circuit,
         config,
-        grid,
-        table,
-        routes,
-        router_stats,
-        budgets0,
-        sino0,
+        grid: pre.grid,
+        table: pre.table,
+        routes: pre.routes,
+        router_stats: pre.router_stats,
+        budgets0: pre.budgets,
+        sino0: pre.sino,
         budgets,
         sino,
         refine_stats,
@@ -877,9 +774,10 @@ fn diff_changed_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{run_flow_with_artifacts, Approach};
+    use crate::pipeline::run_flow_with_artifacts;
     use gsino_grid::geom::{Point, Rect};
     use gsino_grid::net::{CircuitEdit, Net};
+    use gsino_sino::nss::NssModel;
 
     fn small_circuit(n: u32) -> Circuit {
         let die = Rect::new(Point::new(0.0, 0.0), Point::new(640.0, 640.0)).unwrap();
@@ -1010,6 +908,44 @@ mod tests {
         assert_eq!(session.stats().phase1_replays, 1);
         assert!(session.circuit().net(99).is_some());
         assert_matches_scratch(&session);
+    }
+
+    #[test]
+    fn astar_session_matches_scratch_at_any_thread_count() {
+        use crate::pipeline::RouterKind;
+        for threads in [1, 2] {
+            let config = GsinoConfig {
+                router: RouterKind::SequentialAstar,
+                threads,
+                ..fast_config()
+            };
+            let mut session = EcoSession::new(&small_circuit(20), &config).unwrap();
+            assert_matches_scratch(&session);
+
+            session.begin().unwrap();
+            session
+                .apply(EcoEdit::Circuit(CircuitEdit::RePin {
+                    net: 5,
+                    pins: vec![Point::new(30.0, 610.0), Point::new(590.0, 40.0)],
+                }))
+                .unwrap();
+            session.commit().unwrap();
+            assert_eq!(session.stats().phase1_replays, 1);
+            assert_matches_scratch(&session);
+
+            session.begin().unwrap();
+            session
+                .apply(EcoEdit::TightenVth {
+                    net: 3,
+                    sink: 0,
+                    vth: 0.10,
+                })
+                .unwrap();
+            session.commit().unwrap();
+            assert_eq!(session.stats().budget_replays, 1);
+            assert_eq!(session.stats().divergences, 0, "threads={threads}");
+            assert_matches_scratch(&session);
+        }
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub fn check(
 mod tests {
     use super::*;
     use crate::budget::{uniform_budgets, LengthModel};
-    use crate::phase2::{solve_regions, RegionMode};
+    use crate::phase2::{solve_regions_with_engine, RegionMode, SinoEngine};
     use crate::router::{route_all, ShieldTerm, Weights};
     use gsino_grid::geom::{Point, Rect};
     use gsino_grid::sensitivity::SensitivityModel;
@@ -219,7 +219,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(1.0, 3);
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -227,6 +227,7 @@ mod tests {
             SolverConfig::default(),
             RegionMode::OrderOnly,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
         let report = check(&circuit, &grid, &routes, &sino, &table, 0.15);
@@ -252,7 +253,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(1.0, 3);
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -260,6 +261,7 @@ mod tests {
             SolverConfig::default(),
             RegionMode::Sino,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
         let report = check(&circuit, &grid, &routes, &sino, &table, 0.15);
@@ -283,7 +285,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(0.0, 3);
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -291,6 +293,7 @@ mod tests {
             SolverConfig::default(),
             RegionMode::OrderOnly,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
         let report = check(&circuit, &grid, &routes, &sino, &table, 0.15);
@@ -335,7 +338,7 @@ mod tests {
         )
         .unwrap();
         let sens = SensitivityModel::new(1.0, 3);
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -343,6 +346,7 @@ mod tests {
             SolverConfig::default(),
             RegionMode::OrderOnly,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
         let a = check(&circuit, &grid, &routes, &sino, &table, 0.15);
@@ -367,7 +371,7 @@ mod tests {
             LengthModel::Manhattan,
         )
         .unwrap();
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -375,6 +379,7 @@ mod tests {
             SolverConfig::default(),
             RegionMode::OrderOnly,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
         let net = circuit.net(0).unwrap();

@@ -353,6 +353,39 @@ fn session_canceled_commit_restores_pre_edit_state_bitwise() {
     assert_session_matches_scratch(&session);
 }
 
+/// A divergence found by the pre-flight audit is repaired even when the
+/// commit's token has already fired: the recovery rebuild ignores the
+/// deadline, so only the replay is canceled and the poisoned cache does
+/// not survive the failed commit.
+#[test]
+fn session_canceled_commit_still_repairs_preflight_divergence() {
+    let circuit = session_circuit(12);
+    let mut session =
+        EcoSession::with_oracle(&circuit, &session_config(), OracleConfig::full()).unwrap();
+    session
+        .inject_fault(&FaultPlan::new(FaultKind::PoisonKeff))
+        .unwrap();
+
+    session.begin().unwrap();
+    session
+        .apply(EcoEdit::Circuit(CircuitEdit::AddNet {
+            net: Net::two_pin(77, Point::new(20.0, 600.0), Point::new(600.0, 30.0)),
+        }))
+        .unwrap();
+    let cancel = CancelToken::new();
+    cancel.cancel();
+    let err = session.commit_with(&cancel).unwrap_err();
+    assert!(matches!(err, CoreError::Canceled { .. }), "got {err}");
+    assert_eq!(session.stats().divergences, 1, "audit must flag the poison");
+    assert!(session.circuit().net(77).is_none(), "the edit was canceled");
+
+    assert!(
+        session.verify_now().unwrap(),
+        "the pre-flight rebuild must have replaced the poisoned cache"
+    );
+    assert_session_matches_scratch(&session);
+}
+
 /// The acceptance workload: 200 random edits across many transactions
 /// with zero injected faults must end bit-identical to from-scratch with
 /// zero degraded replays — the incremental replay path alone carries the

@@ -3,7 +3,7 @@
 //! the modelled physics must rank like the simulator.
 
 use gsino::core::budget::{uniform_budgets, LengthModel};
-use gsino::core::phase2::{solve_regions, RegionMode};
+use gsino::core::phase2::{solve_regions_with_engine, RegionMode, SinoEngine};
 use gsino::core::router::{route_all, ShieldTerm, Weights};
 use gsino::core::violations::sink_lsk;
 use gsino::grid::{Circuit, Dir, Net, Point, Rect, RegionGrid, SensitivityModel, Technology};
@@ -42,7 +42,7 @@ fn sink_lsk_matches_manual_accumulation() {
     )
     .unwrap();
     let sens = SensitivityModel::new(0.5, 5);
-    let sino = solve_regions(
+    let sino = solve_regions_with_engine(
         &grid,
         &routes,
         &budgets,
@@ -50,6 +50,7 @@ fn sink_lsk_matches_manual_accumulation() {
         SolverConfig::default(),
         RegionMode::OrderOnly,
         1,
+        SinoEngine::Incremental,
     )
     .unwrap();
     for net in circuit.nets() {
@@ -85,7 +86,7 @@ fn region_k_values_match_layout_evaluation() {
     )
     .unwrap();
     let sens = SensitivityModel::new(0.5, 5);
-    let sino = solve_regions(
+    let sino = solve_regions_with_engine(
         &grid,
         &routes,
         &budgets,
@@ -93,6 +94,7 @@ fn region_k_values_match_layout_evaluation() {
         SolverConfig::default(),
         RegionMode::Sino,
         1,
+        SinoEngine::Incremental,
     )
     .unwrap();
     for (r, d) in sino.keys() {
@@ -120,7 +122,7 @@ fn longer_nets_accumulate_more_lsk() {
         )
         .unwrap();
         let sens = SensitivityModel::new(1.0, 5);
-        let sino = solve_regions(
+        let sino = solve_regions_with_engine(
             &grid,
             &routes,
             &budgets,
@@ -128,6 +130,7 @@ fn longer_nets_accumulate_more_lsk() {
             SolverConfig::default(),
             RegionMode::OrderOnly,
             1,
+            SinoEngine::Incremental,
         )
         .unwrap();
         let net = circuit.net(2).unwrap();

@@ -15,7 +15,7 @@
 //!    rates, constraint pairs and solver/refine configurations.
 
 use gsino_core::budget::{uniform_budgets, Budgets, LengthModel};
-use gsino_core::phase2::{solve_regions, RegionMode, RegionSino};
+use gsino_core::phase2::{solve_regions_with_engine, RegionMode, RegionSino, SinoEngine};
 use gsino_core::refine::tracker::LskTracker;
 use gsino_core::refine::{self, RefineConfig};
 use gsino_core::router::{route_all, ShieldTerm, Weights};
@@ -74,7 +74,7 @@ fn bus_setup(
     )
     .unwrap();
     let sens = SensitivityModel::new(rate, seed);
-    let sino = solve_regions(
+    let sino = solve_regions_with_engine(
         &grid,
         &routes,
         &budgets,
@@ -82,6 +82,7 @@ fn bus_setup(
         SolverConfig::default(),
         RegionMode::Sino,
         1,
+        SinoEngine::Incremental,
     )
     .unwrap();
     (circuit, grid, routes, table, budgets, sino)

@@ -54,8 +54,9 @@ proptest! {
         let (circuit, grid) = routers_setup(seed, 0.02);
         let router = AstarRouter::new(&grid, Weights::default(), ShieldTerm::None);
         let mut scratch = router.make_scratch();
-        let (first, _) = router.route_with_scratch(&circuit, &mut scratch).expect("routes");
-        let (second, _) = router.route_with_scratch(&circuit, &mut scratch).expect("routes");
+        let conns = router.prepare(&circuit);
+        let (first, _) = router.route_prepared(&circuit, &conns, &mut scratch).expect("routes");
+        let (second, _) = router.route_prepared(&circuit, &conns, &mut scratch).expect("routes");
         let (fresh, _) = router.route(&circuit).expect("routes");
         prop_assert_eq!(&first, &second);
         prop_assert_eq!(&first, &fresh);

@@ -170,6 +170,39 @@ fn scale5k_round_trips() {
     round_trip_rung(&spec);
 }
 
+/// The 5k rung's full flow is the same at one and two worker threads:
+/// routes, budgets, SINO solutions, shield count, and the area and
+/// wire-length bits.
+#[test]
+#[ignore = "heavy: run in release via -- --ignored (CI scale-ladder job)"]
+fn scale5k_is_bit_identical_across_thread_counts() {
+    let spec = ScaleSpec::by_id("scale5k").expect("ladder rung");
+    let wl = generate_scaled(&spec).expect("rung generates");
+    let run = |threads| {
+        let config = GsinoConfig::builder()
+            .threads(threads)
+            .build()
+            .expect("valid config");
+        run_flow_with_artifacts(wl.circuit(), &config, Approach::Gsino).expect("pipeline runs")
+    };
+    let (one, one_internals) = run(1);
+    let (two, two_internals) = run(2);
+    assert_eq!(one.routes, two.routes, "routes");
+    assert_eq!(one_internals.budgets, two_internals.budgets, "budgets");
+    assert_eq!(one_internals.sino, two_internals.sino, "sino");
+    assert_eq!(one.total_shields, two.total_shields, "total_shields");
+    assert_eq!(
+        one.area.area().to_bits(),
+        two.area.area().to_bits(),
+        "routing area"
+    );
+    assert_eq!(
+        one.wirelength.total_um.to_bits(),
+        two.wirelength.total_um.to_bits(),
+        "wirelength"
+    );
+}
+
 #[test]
 #[ignore = "heavy: run in release via -- --ignored (CI scale-ladder job)"]
 fn scale50k_round_trips() {
