@@ -17,17 +17,18 @@
 //!  ───────                ────────────────────        ───────────
 //!  handle.edit(…) ──push──▶ [req|req|req]──┐    ┌──▶ worker 0
 //!  handle.query() ─┐                       ├─sched─▶ worker 1
-//!                  └─ Full? ─▶ Err(Overloaded)  └──▶ …  (steal, park)
+//!                  └─ Full? ─▶ Err(Overloaded)  └──▶ …  (wait when idle)
 //! ```
 //!
 //! Sessions no longer own threads: a fixed pool of
 //! [`ServiceConfig::pool_threads`] workers executes *session slices* —
 //! one worker claims a runnable session, drains a bounded quantum of its
-//! queue, and requeues or parks it. A work-stealing scheduler (global
-//! injector + per-worker deques, randomized stealing, condvar parking)
-//! keeps thousands of mostly-idle sessions cheap: a quiet service burns
-//! ~zero CPU. See [`scheduler`](self) internals for the pinning state
-//! machine; [`StatsReport::pool`] exposes the live gauges.
+//! queue, and requeues or parks it. One FIFO run queue of runnable
+//! sessions, shared by every worker, with condvar waiting when it is
+//! empty, keeps thousands of mostly-idle sessions cheap: a quiet service
+//! burns ~zero CPU, and a requeued session waits behind every session
+//! already queued. See [`scheduler`](self) internals for the pinning
+//! state machine; [`StatsReport::pool`] exposes the live gauges.
 //!
 //! * **FIFO per session** — a *session-pinning* rule guarantees at most
 //!   one worker executes a given session's envelopes at a time, and only
@@ -127,10 +128,6 @@ pub struct ServiceConfig {
     /// Maximum live sessions; opening beyond it is rejected with
     /// [`CoreError::Overloaded`].
     pub max_sessions: usize,
-    /// Whether the serving worker coalesces queued same-class edit
-    /// requests into one transactional replay. On by default; turn off to
-    /// force one commit per request (e.g. to measure batching's effect).
-    pub coalesce: bool,
     /// Workers in the shared execution pool. `0` (the default) means
     /// *auto*: the machine's available parallelism. Sessions far
     /// outnumbering workers is the intended regime — idle sessions cost
@@ -143,7 +140,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             mailbox_capacity: 64,
             max_sessions: 16,
-            coalesce: true,
             pool_threads: 0,
         }
     }
@@ -205,8 +201,8 @@ impl RoutingService {
         self.lock().keys().cloned().collect()
     }
 
-    /// A point-in-time snapshot of the scheduler gauges (steals, parks,
-    /// runnable sessions, per-worker utilization) — the same data every
+    /// A point-in-time snapshot of the scheduler gauges (parks, runnable
+    /// sessions, per-worker utilization) — the same data every
     /// [`StatsReport::pool`] carries, readable without a live session.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.shared.stats()
@@ -244,7 +240,6 @@ impl RoutingService {
             let cell = SessionCell::new(
                 name.to_string(),
                 self.config.mailbox_capacity,
-                self.config.coalesce,
                 Body::Unbuilt {
                     circuit: Box::new(circuit),
                     config: Box::new(config),
@@ -367,7 +362,7 @@ impl Drop for RoutingService {
         }
         // The Pool field drops after this body: it flags shutdown and
         // joins the workers, which exit once no runnable work remains —
-        // i.e. the injector and every deque drain clean.
+        // i.e. the pool run queue drains clean.
     }
 }
 
@@ -379,6 +374,7 @@ mod tests {
     use gsino_grid::geom::{Point, Rect};
     use gsino_grid::net::Net;
     use gsino_sino::nss::NssModel;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::mpsc;
     use std::time::{Duration, Instant};
 
@@ -853,6 +849,64 @@ mod tests {
         ));
         let closed = service.close("bad");
         assert!(matches!(closed, Err(CoreError::BadConfig { .. })));
+    }
+
+    #[test]
+    fn hot_session_cannot_starve_a_cold_one_on_one_worker() {
+        // One worker, a "hot" session kept busy by four clients and a
+        // "cold" one queried in a loop: a cold request waits behind at
+        // most the hot session's current slice (one quantum) before the
+        // run queue reaches it, so it never spans more than 2 × QUANTUM
+        // hot replies (the slack covers replies in flight at the edges).
+        const HOT_CLIENTS: usize = 4;
+        const COLD_CALLS: usize = 200;
+        let service = RoutingService::new(ServiceConfig {
+            pool_threads: 1,
+            ..ServiceConfig::default()
+        });
+        let hot = service
+            .open("hot", small_circuit(8), fast_config())
+            .unwrap();
+        let cold = service
+            .open("cold", small_circuit(8), fast_config())
+            .unwrap();
+        let hot_replies = AtomicU64::new(0);
+        let stop = AtomicBool::new(false);
+        let worst = std::thread::scope(|scope| {
+            let hammers: Vec<_> = (0..HOT_CLIENTS)
+                .map(|_| {
+                    let hot = hot.clone();
+                    let (hot_replies, stop) = (&hot_replies, &stop);
+                    scope.spawn(move || {
+                        while !stop.load(Ordering::Relaxed) {
+                            hot.query().unwrap();
+                            hot_replies.fetch_add(1, Ordering::Relaxed);
+                        }
+                    })
+                })
+                .collect();
+            // Only measure once the hot session is demonstrably busy.
+            while hot_replies.load(Ordering::Relaxed) < 4 * scheduler::QUANTUM as u64 {
+                std::thread::yield_now();
+            }
+            let mut worst = 0u64;
+            for _ in 0..COLD_CALLS {
+                let before = hot_replies.load(Ordering::Relaxed);
+                cold.query().unwrap();
+                worst = worst.max(hot_replies.load(Ordering::Relaxed) - before);
+            }
+            stop.store(true, Ordering::Relaxed);
+            for h in hammers {
+                h.join().unwrap();
+            }
+            worst
+        });
+        assert!(
+            worst <= 2 * scheduler::QUANTUM as u64,
+            "a cold query spanned {worst} hot replies (bound {})",
+            2 * scheduler::QUANTUM
+        );
+        assert_eq!(service.pool_stats().pinning_violations, 0);
     }
 
     #[test]

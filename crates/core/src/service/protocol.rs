@@ -170,13 +170,15 @@ pub struct StatsReport {
 pub struct PoolStats {
     /// Workers in the fixed pool.
     pub pool_threads: usize,
-    /// Lifetime count of sessions claimed from another worker's deque.
+    /// Always 0 — the pool has one shared run queue; kept so `stats`
+    /// replies keep their documented shape.
     pub steals: u64,
     /// Lifetime count of idle-worker parks (a quiet pool parks all its
     /// workers and burns ~zero CPU until the next submission).
     pub parks: u64,
-    /// Sessions currently queued for execution (injector + worker
-    /// deques), excluding the one serving this request.
+    /// Sessions currently waiting in the pool run queue. Sessions being
+    /// executed are not counted, so the one serving this request is
+    /// excluded.
     pub runnable_sessions: usize,
     /// Detected violations of the session-pinning invariant (a session
     /// observed on two workers at once). Always 0; a non-zero value is a
@@ -194,7 +196,7 @@ pub struct PoolStats {
 pub struct WorkerGauge {
     /// Session slices this worker has executed.
     pub tasks: u64,
-    /// Milliseconds spent executing slices (vs. parked or scanning).
+    /// Milliseconds spent executing slices (vs. waiting for work).
     pub busy_ms: f64,
 }
 

@@ -11,13 +11,15 @@
 //!    from-scratch flow on its final configuration.
 //! 2. **Pinning** — no session is ever observed on two workers at once
 //!    ([`pinning_violations`](gsino::core::service::PoolStats) stays 0).
-//! 3. **Clean drain** — after every session closes, no runnable work
-//!    remains anywhere in the scheduler (injector and deques empty).
+//! 3. **Runnable gauge** — under load, `runnable_sessions` never exceeds
+//!    the number of open sessions; after every session closes it reads 0
+//!    (the pool run queue drained clean).
 
 use gsino::core::pipeline::{run_flow_with_artifacts, Approach};
 use gsino::grid::{Circuit, Net, Point, Rect};
 use gsino::sino::nss::NssModel;
 use gsino::{EcoEdit, EcoSession, GsinoConfig, RoutingService, ServiceConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Pool size under test: `GSINO_POOL_THREADS` (the CI matrix knob),
 /// defaulting to the issue's canonical 2-workers case.
@@ -100,29 +102,50 @@ fn sixty_four_sessions_on_a_tiny_pool_hold_every_invariant() {
     }
 
     // Drive every session from its own client thread so submissions
-    // interleave arbitrarily across the pool.
-    let clients: Vec<_> = names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let handle = service.handle(name).unwrap();
-            let flavor = i as u32 % FLAVORS;
-            std::thread::spawn(move || {
-                for step in 0..STEPS {
-                    loop {
-                        match handle.edit(edits_for(flavor, step)) {
-                            Ok(_) => break,
-                            Err(e) if e.is_retryable() => std::thread::yield_now(),
-                            Err(other) => panic!("edit failed: {other:?}"),
+    // interleave arbitrarily across the pool, while a sampler reads the
+    // runnable gauge: a session is in the pool run queue at most once,
+    // so the gauge can never exceed the number of open sessions.
+    let stop = AtomicBool::new(false);
+    let max_runnable = std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut max = 0usize;
+            loop {
+                max = max.max(service.pool_stats().runnable_sessions);
+                if stop.load(Ordering::Relaxed) {
+                    return max;
+                }
+                std::thread::yield_now();
+            }
+        });
+        let clients: Vec<_> = names
+            .iter()
+            .enumerate()
+            .map(|(i, name)| {
+                let handle = service.handle(name).unwrap();
+                let flavor = i as u32 % FLAVORS;
+                scope.spawn(move || {
+                    for step in 0..STEPS {
+                        loop {
+                            match handle.edit(edits_for(flavor, step)) {
+                                Ok(_) => break,
+                                Err(e) if e.is_retryable() => std::thread::yield_now(),
+                                Err(other) => panic!("edit failed: {other:?}"),
+                            }
                         }
                     }
-                }
+                })
             })
-        })
-        .collect();
-    for c in clients {
-        c.join().unwrap();
-    }
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        sampler.join().unwrap()
+    });
+    assert!(
+        max_runnable <= SESSIONS,
+        "runnable_sessions read {max_runnable} with {SESSIONS} sessions open"
+    );
 
     // Pinning held throughout the storm.
     let stats = service.pool_stats();
@@ -146,8 +169,8 @@ fn sixty_four_sessions_on_a_tiny_pool_hold_every_invariant() {
     }
 
     // Clean drain: with every session retired, nothing is runnable —
-    // the injector and every worker deque are empty. (Retirement is
-    // synchronous in close(), so no settling wait is needed.)
+    // the pool run queue is empty. (Retirement is synchronous in
+    // close(), so no settling wait is needed.)
     let stats = service.pool_stats();
     assert_eq!(stats.runnable_sessions, 0, "scheduler left runnable work");
     assert_eq!(stats.pinning_violations, 0);
