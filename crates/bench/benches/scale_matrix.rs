@@ -145,7 +145,8 @@ fn run_rung(spec: &ScaleSpec) -> RungResult {
 
     let pipeline = if spec.num_nets <= PIPELINE_TIER_MAX_NETS {
         // threads = 1: the behaviour counters (recomputes, repairs,
-        // violations, shields) must be exactly reproducible for the gate.
+        // violations, shields, pass-2 resolves) must be exactly
+        // reproducible for the gate.
         let config = GsinoConfig::builder()
             .threads(1)
             .build()
@@ -210,6 +211,8 @@ fn rung_row(r: &RungResult) -> Map {
             "connectivity_recomputes",
             Value::U64(out.router_stats.connectivity_recomputes as u64),
         );
+        let resolves = out.refine_stats.map_or(0, |s| s.pass2_resolves);
+        m.insert("pass2_resolves", Value::U64(resolves));
     }
     m
 }

@@ -108,6 +108,7 @@ const MATRIX_COUNT_METRICS: &[(&str, &str)] = &[
     ("repairs", "connectivity_repairs"),
     ("violations", "violations"),
     ("shields", "total_shields"),
+    ("pass2 resolves", "pass2_resolves"),
 ];
 
 /// Per-workload report-only metrics: wall times and memory ceilings vary

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Resolves a thread-count request (`0` = available parallelism).
-fn resolve_threads(threads: usize) -> usize {
+pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -42,7 +42,7 @@ fn resolve_threads(threads: usize) -> usize {
 /// each item out exactly once. Every worker owns one scratch value built
 /// by `make_scratch` and reused across all the items it pops; results
 /// carry their original index so callers can restore deterministic order.
-fn drain_worklist<T, U, S, M, F>(
+pub(crate) fn drain_worklist<T, U, S, M, F>(
     items: Vec<T>,
     workers: usize,
     make_scratch: M,

@@ -80,8 +80,9 @@ pub struct GsinoConfig {
     pub solver: SolverConfig,
     /// Phase III bounds.
     pub refine: RefineConfig,
-    /// Worker threads for Phase I's A* batches and Phase II's region
-    /// solves (0 = available parallelism).
+    /// Worker threads for Phase I's A* batches, Phase II's region solves
+    /// and Phase III's pass-2 trials (0 = available parallelism). Every
+    /// count gives the same result.
     pub threads: usize,
     /// Pre-fitted Formula (3) model; `None` fits one per GSINO run.
     pub nss_model: Option<NssModel>,
@@ -448,6 +449,7 @@ pub(crate) fn run_flow(
             config.vth,
             config.solver,
             &config.refine,
+            config.threads,
             cancel,
         )?)
     } else {

@@ -24,53 +24,66 @@
 //!   exactly once at entry — plus a `(region, dir) → terms` reverse index
 //!   and the per-net worst violating voltage. Pass 1's work queue is a
 //!   [`tracker::SeverityQueue`] (lazy max-heap) instead of a full-map scan
-//!   per pick. One persistent `DeltaEval` per touched `(region, dir)`
-//!   (`RegionEngines`) mirrors that region's installed layout across
-//!   edits, so couplings after a re-solve are read straight from the
-//!   evaluator instead of a from-scratch re-evaluate.
+//!   per pick.
 //!
-//! * **When it is patched.** A budget tweak re-solves its region through
-//!   [`SinoSolver::resolve_after_kth`] (bit-identical to a cold
-//!   `solve`, but leaving the evaluator mirroring the result); the
-//!   tracker then patches only the crossing nets' sums —
-//!   O(crossing segments + dirty-sink terms) instead of full
-//!   `check_net` route walks. Pass 2 trials run as transactions: the
-//!   evaluator state is saved ([`DeltaSnapshot`]), budgets are raised in
-//!   place, and a rejected recovery restores evaluator, layout, couplings
-//!   and budgets bitwise — no `RegionSolution` clone, no O(n²)
-//!   sensitivity-matrix copy.
+//! * **When it is patched.** A pass-1 budget tweak re-solves its region
+//!   through [`SinoSolver::resolve_after_kth`] (bit-identical to a cold
+//!   `solve`, leaving one scratch evaluator mirroring the result, so the
+//!   couplings are read from it instead of a re-evaluate); the tracker
+//!   then patches only the crossing nets' sums — O(crossing segments +
+//!   dirty-sink terms) instead of full `check_net` route walks.
+//!
+//! * **Pass 2 as region-local trials.** A recovery trial (raise the
+//!   largest-slack budgets until SINO drops a shield) reads only its own
+//!   region's instance, layout and couplings; only the accept/reject
+//!   verdict reads the tracker, and a region's state changes only when
+//!   its own trial commits as recovered. So each sweep sorts the eligible
+//!   regions once (density descending, key order on ties — exactly the
+//!   seed pass's pick-the-max scan order, since unvisited regions cannot
+//!   change within a sweep), computes every trial it has not cached yet
+//!   on `threads` workers, and then commits the trials one by one in that
+//!   order. A trial stays cached across sweeps until its region commits
+//!   as recovered. A rejected commit swaps the saved layout and couplings
+//!   back and re-patches the tracker. Inside a trial, a raise that
+//!   [`budget_swap_preserves_solution`] proves cannot move the solver's
+//!   output skips its re-solve; [`RefineStats::pass2_resolves`] counts
+//!   the solves that ran.
 //!
 //! * **Why the result is identical.** Dirty sinks are re-summed over the
 //!   cached terms in the exact order the seed pass's `sink_lsk` iterates,
 //!   the queue reproduces the seed tie-break (highest voltage, then
-//!   smallest net id — see [`tracker::SeverityQueue`]), and the region
-//!   re-solves are the same pure function of the instance. Final
-//!   [`Budgets`], [`RegionSino`] and [`RefineStats`] are therefore
-//!   **bit-identical** to [`reference::refine`] — property-tested in
-//!   `tests/refine_equivalence.rs` and asserted in the `phase_runtime`
-//!   bench.
+//!   smallest net id — see [`tracker::SeverityQueue`]), pass 2 visits and
+//!   commits regions in the seed order, and the region re-solves are the
+//!   same pure function of the instance. Final [`Budgets`],
+//!   [`RegionSino`] and the outcome fields of [`RefineStats`] are
+//!   therefore **bit-identical** to [`reference::refine`] for every
+//!   thread count — property-tested in `tests/refine_equivalence.rs` and
+//!   asserted in the `phase_runtime` bench.
 //!
 //! * **The debug oracle.** In `cfg(debug_assertions)` builds, every region
 //!   edit (pass 1 install, pass 2 accept/reject) is followed by
 //!   [`tracker::LskTracker::oracle_check`], which re-runs the full
-//!   [`check`] and compares every severity and sink violation bitwise.
+//!   [`check`] and compares every severity and sink violation bitwise, and
+//!   every skipped pass-2 re-solve is re-run and compared.
 
 pub mod reference;
 pub mod tracker;
 
 use crate::budget::Budgets;
 use crate::cancel::CancelToken;
-use crate::phase2::{RegionSino, RegionSolution};
+use crate::phase2::{drain_worklist, resolve_threads, RegionSino, RegionSolution};
 use crate::violations::check;
 use crate::Result;
 use gsino_grid::net::Circuit;
 use gsino_grid::region::{RegionGrid, RegionIdx};
 use gsino_grid::route::{Dir, RouteSet};
 use gsino_lsk::table::NoiseTable;
-use gsino_sino::delta::{DeltaEval, DeltaSnapshot};
+use gsino_sino::delta::DeltaEval;
+use gsino_sino::layout::Layout;
 use gsino_sino::solver::{SinoSolver, SolverConfig};
+use gsino_sino::warm::budget_swap_preserves_solution;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use tracker::{LskTracker, SeverityQueue};
 
 /// Safety bounds for the refinement loops.
@@ -117,45 +130,57 @@ pub struct RefineStats {
     pub pass1_unfixed: usize,
     /// Whether pass 1 left the solution violation-free.
     pub clean: bool,
+    /// SINO solves pass 2 actually ran: a work counter, not an outcome.
+    /// Deterministic for any thread count; the incremental pass never
+    /// runs more than [`reference::refine`].
+    pub pass2_resolves: u64,
 }
 
-/// The persistent per-`(region, dir)` evaluators: each mirrors its
-/// region's installed layout across refine edits, loaded lazily on first
-/// touch and kept in sync by every install/rollback.
-#[derive(Debug, Default)]
-struct RegionEngines {
-    map: HashMap<(RegionIdx, Dir), DeltaEval>,
-}
-
-impl RegionEngines {
-    /// The evaluator of `(r, dir)`, loading it from the installed solution
-    /// on first touch.
-    fn engine(&mut self, r: RegionIdx, dir: Dir, sol: &RegionSolution) -> &mut DeltaEval {
-        self.map.entry((r, dir)).or_insert_with(|| {
-            let mut e = DeltaEval::new();
-            e.load(&sol.instance, &sol.layout);
-            e
-        })
+impl RefineStats {
+    /// The outcome fields alone (the work counter zeroed) — what the
+    /// incremental pass and [`reference::refine`] must agree on.
+    pub fn outcome(self) -> RefineStats {
+        RefineStats {
+            pass2_resolves: 0,
+            ..self
+        }
     }
 }
 
-/// How one pass-2 recovery attempt ended.
+/// How one pass-2 commit ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Recovery {
     /// A shield came out and every crossing net stayed clean.
     Recovered,
-    /// A shield came out but some net started violating; the transaction
-    /// was rolled back bitwise.
+    /// A shield came out but some net started violating; the region and
+    /// the tracker were put back.
     Rejected,
-    /// No budget raise freed a shield; trial raises were dropped.
+    /// No budget raise freed a shield.
     NoCandidate,
+}
+
+/// What a pass-2 trial found for one region. It depends only on the
+/// region's own state, so it stays valid until that region commits.
+#[derive(Debug, Clone, PartialEq)]
+enum Trial {
+    /// No budget raise frees a shield.
+    NoCandidate,
+    /// The first raise sequence that frees a shield.
+    Drop {
+        /// `(segment, new Kth)` in raise order.
+        raised: Vec<(usize, f64)>,
+        /// The re-solved layout, with fewer shields than the installed one.
+        layout: Layout,
+        /// Its per-segment couplings.
+        k: Vec<f64>,
+    },
 }
 
 /// Runs both passes, mutating budgets and region solutions in place.
 ///
 /// Bit-identical to [`reference::refine`] (same final [`Budgets`],
-/// [`RegionSino`] and [`RefineStats`]) — see the module docs for the
-/// incremental contract.
+/// [`RegionSino`] and [`RefineStats::outcome`]) — see the module docs for
+/// the incremental contract.
 ///
 /// # Errors
 ///
@@ -182,12 +207,15 @@ pub fn refine(
         vth,
         solver,
         config,
+        1,
         &CancelToken::never(),
     )
 }
 
-/// [`refine`] polling a [`CancelToken`] once per pass-1 net pick and once
-/// per pass-2 region pick. Cancellation leaves `budgets`/`sino` in a
+/// [`refine`] computing pass-2 trials on `threads` workers (`0` = available
+/// parallelism; the result is identical for every count) and polling a
+/// [`CancelToken`] once per pass-1 net pick, once per pass-2 trial and
+/// once per pass-2 commit. Cancellation leaves `budgets`/`sino` in a
 /// consistent but partially-refined state — transactional callers (the
 /// ECO session) refine **clones** and discard them on error, so nothing
 /// needs undoing here.
@@ -207,11 +235,12 @@ pub fn refine_cancel(
     vth: f64,
     solver: SolverConfig,
     config: &RefineConfig,
+    threads: usize,
     cancel: &CancelToken,
 ) -> Result<RefineStats> {
     let mut stats = RefineStats::default();
     let mut tracker = LskTracker::new(circuit, grid, routes, sino, table, vth);
-    let mut engines = RegionEngines::default();
+    let solver = SinoSolver::new(solver);
     pass1(
         circuit,
         grid,
@@ -219,11 +248,10 @@ pub fn refine_cancel(
         budgets,
         sino,
         table,
-        solver,
+        &solver,
         config,
         &mut stats,
         &mut tracker,
-        &mut engines,
         cancel,
     )?;
     stats.clean = tracker.is_clean();
@@ -240,15 +268,24 @@ pub fn refine_cancel(
             budgets,
             sino,
             table,
-            solver,
+            &solver,
             config,
             &mut stats,
             &mut tracker,
-            &mut engines,
+            threads,
             cancel,
         )?;
     }
     Ok(stats)
+}
+
+/// Routing density of a solved region: nets plus shields over capacity.
+fn density(grid: &RegionGrid, dir: Dir, sol: &RegionSolution) -> f64 {
+    let cap = match dir {
+        Dir::H => grid.hc(),
+        Dir::V => grid.vc(),
+    } as f64;
+    (sol.nets.len() + sol.layout.num_shields()) as f64 / cap
 }
 
 /// Pass 1: eliminate crosstalk violations.
@@ -265,14 +302,13 @@ fn pass1(
     budgets: &mut Budgets,
     sino: &mut RegionSino,
     table: &NoiseTable,
-    solver: SolverConfig,
+    solver: &SinoSolver,
     config: &RefineConfig,
     stats: &mut RefineStats,
     tracker: &mut LskTracker,
-    engines: &mut RegionEngines,
     cancel: &CancelToken,
 ) -> Result<()> {
-    let solver = SinoSolver::new(solver);
+    let mut scratch = DeltaEval::new();
     let mut queue = SeverityQueue::new(&tracker.nets_by_severity());
     for _ in 0..config.max_pass1_iters {
         cancel.check("phase3")?;
@@ -306,12 +342,7 @@ fn pass1(
                     if let Some(sol) = sino.solution(r, dir) {
                         let k = sol.index_of(net_id).map(|i| sol.k[i]).unwrap_or(0.0);
                         if k > 1e-12 {
-                            let cap = match dir {
-                                Dir::H => grid.hc(),
-                                Dir::V => grid.vc(),
-                            } as f64;
-                            let density = (sol.nets.len() + sol.layout.num_shields()) as f64 / cap;
-                            candidates.push((density, r, dir));
+                            candidates.push((density(grid, dir, sol), r, dir));
                         }
                     }
                 }
@@ -343,13 +374,11 @@ fn pass1(
                 sol.instance.set_kth(idx, new_kth)?;
                 budgets.set(net_id, r, dir, new_kth);
                 let before = sol.layout.num_shields();
-                let engine = engines.engine(r, dir, sol);
-                engine.rebudget(&sol.instance, idx);
-                sol.layout = solver.resolve_after_kth(&sol.instance, engine)?;
-                // The evaluator mirrors the re-solved layout, so the
+                sol.layout = solver.resolve_after_kth(&sol.instance, &mut scratch)?;
+                // The scratch mirrors the re-solved layout, so the
                 // couplings come straight from its cache — no re-evaluate.
                 sol.k.clear();
-                sol.k.extend_from_slice(engine.k_values());
+                sol.k.extend_from_slice(scratch.k_values());
                 stats.pass1_shields_added +=
                     (sol.layout.num_shields().saturating_sub(before)) as u64;
                 tracker.region_updated(r, dir, &sol.k, table);
@@ -377,7 +406,8 @@ fn pass1(
 }
 
 /// Pass 2: reduce routing congestion by recovering shields where slack
-/// allows.
+/// allows — per sweep, sort once, compute the uncached trials on
+/// `threads` workers, then commit them in visiting order.
 #[allow(clippy::too_many_arguments)]
 fn pass2(
     circuit: &Circuit,
@@ -386,57 +416,70 @@ fn pass2(
     budgets: &mut Budgets,
     sino: &mut RegionSino,
     table: &NoiseTable,
-    solver: SolverConfig,
+    solver: &SinoSolver,
     config: &RefineConfig,
     stats: &mut RefineStats,
     tracker: &mut LskTracker,
-    engines: &mut RegionEngines,
+    threads: usize,
     cancel: &CancelToken,
 ) -> Result<()> {
-    let solver = SinoSolver::new(solver);
-    let mut snap = DeltaSnapshot::new();
-    // The key set never changes during refinement; the seed pass re-sorted
-    // it per pick, identically.
+    let workers = resolve_threads(threads);
+    // The key set never changes during refinement; trials are cached by
+    // key index.
     let keys = sino.keys();
+    let mut trials: Vec<Option<Trial>> = vec![None; keys.len()];
     for _ in 0..config.pass2_sweeps {
-        let mut improved = false;
-        let mut visited: HashSet<(RegionIdx, Dir)> = HashSet::new();
-        loop {
-            // Most congested unvisited region with shields to recover.
-            let mut best: Option<(f64, RegionIdx, Dir)> = None;
-            for &(r, dir) in &keys {
-                if visited.contains(&(r, dir)) {
-                    continue;
-                }
-                // invariant: iterating `keys()` of the same solution set.
-                let sol = sino.solution(r, dir).expect("key enumerated");
-                if sol.layout.num_shields() == 0 {
-                    continue;
-                }
-                let cap = match dir {
-                    Dir::H => grid.hc(),
-                    Dir::V => grid.vc(),
-                } as f64;
-                let density = (sol.nets.len() + sol.layout.num_shields()) as f64 / cap;
-                if density < config.pass2_density_floor {
-                    continue;
-                }
-                if best.is_none_or(|(d, _, _)| density > d) {
-                    best = Some((density, r, dir));
-                }
+        // Visiting order: eligible regions, most congested first. Only a
+        // visited region changes within a sweep, so this one stable sort
+        // reproduces the seed pass's per-pick max scan (strict `>`, so
+        // ties keep key order).
+        let mut order: Vec<(f64, usize)> = Vec::new();
+        for (idx, &(r, dir)) in keys.iter().enumerate() {
+            // invariant: iterating `keys()` of the same solution set.
+            let sol = sino.solution(r, dir).expect("key enumerated");
+            let d = density(grid, dir, sol);
+            if sol.layout.num_shields() > 0 && d >= config.pass2_density_floor {
+                order.push((d, idx));
             }
-            let (_, r, dir) = match best {
-                Some(b) => b,
-                None => break,
-            };
+        }
+        // invariant: region densities are finite ratios of counts.
+        order.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite densities"));
+
+        let fresh: Vec<usize> = order
+            .iter()
+            .map(|&(_, idx)| idx)
+            .filter(|&idx| trials[idx].is_none())
+            .collect();
+        let work: Vec<&RegionSolution> = fresh
+            .iter()
+            .map(|&idx| {
+                let (r, dir) = keys[idx];
+                sino.solution(r, dir).expect("key enumerated")
+            })
+            .collect();
+        let done = drain_worklist(work, workers, DeltaEval::new, |sol, scratch| {
             cancel.check("phase3")?;
-            visited.insert((r, dir));
+            run_trial(sol, solver, scratch)
+        });
+        for batch in done {
+            for (i, (trial, resolves)) in batch? {
+                trials[fresh[i]] = Some(trial);
+                stats.pass2_resolves += resolves;
+            }
+        }
+
+        let mut improved = false;
+        for &(_, idx) in &order {
+            cancel.check("phase3")?;
+            let (r, dir) = keys[idx];
             stats.pass2_regions += 1;
-            let outcome = try_recover_shield(
-                budgets, sino, tracker, table, &solver, engines, &mut snap, r, dir, stats,
-            )?;
+            // invariant: every key in `order` got a trial above.
+            let trial = trials[idx].as_mut().expect("trial computed");
+            let sol = sino.solution_mut(r, dir).expect("key enumerated");
+            let outcome = commit_trial(r, dir, sol, trial, budgets, tracker, table, stats)?;
             debug_oracle(tracker, circuit, grid, routes, sino, table);
             if outcome == Recovery::Recovered {
+                trials[idx] = None;
                 improved = true;
             }
         }
@@ -447,92 +490,106 @@ fn pass2(
     Ok(())
 }
 
-/// Attempts to remove one shield from `(r, dir)` by raising budgets of the
-/// largest-slack nets; accepts only violation-free outcomes.
-///
-/// Runs as a transaction against the region's persistent evaluator: the
-/// pre-trial state is captured once ([`DeltaEval::save_into`]), budgets
-/// are raised in place, and rejection restores evaluator, layout,
-/// couplings and budgets bitwise — no [`RegionSolution`] clone.
-#[allow(clippy::too_many_arguments)]
-fn try_recover_shield(
-    budgets: &mut Budgets,
-    sino: &mut RegionSino,
-    tracker: &mut LskTracker,
-    table: &NoiseTable,
+/// Tries to remove one shield from a region by raising the budgets of its
+/// largest-slack nets, on a clone of the instance: returns the first
+/// layout with fewer shields (or [`Trial::NoCandidate`]) and the number of
+/// SINO solves it ran. Reads nothing but `sol`; `scratch` is any reusable
+/// evaluator.
+fn run_trial(
+    sol: &RegionSolution,
     solver: &SinoSolver,
-    engines: &mut RegionEngines,
-    snap: &mut DeltaSnapshot,
-    r: RegionIdx,
-    dir: Dir,
-    stats: &mut RefineStats,
-) -> Result<Recovery> {
-    // invariant: both callers verified this key holds a solution.
-    let sol = sino.solution_mut(r, dir).expect("caller checked existence");
-    let nets = sol.nets.clone();
-    let n = nets.len();
+    scratch: &mut DeltaEval,
+) -> Result<(Trial, u64)> {
+    let n = sol.nets.len();
     let base_shields = sol.layout.num_shields();
-    let engine = engines.engine(r, dir, sol);
-    // Transaction begin: the evaluator mirrors the installed layout, so
-    // the snapshot plus the saved budgets are the whole undo log.
-    engine.save_into(snap);
-    let saved_kth: Vec<f64> = (0..n).map(|i| sol.instance.segment(i).kth).collect();
-    let mut raised: Vec<usize> = Vec::new();
+    let mut inst = sol.instance.clone();
+    let mut kth: Vec<f64> = inst.segments().iter().map(|s| s.kth).collect();
+    let mut raised: Vec<(usize, f64)> = Vec::new();
+    let mut resolves = 0u64;
     for _ in 0..n {
-        // Largest remaining positive slack under the current layout.
+        // Largest remaining positive slack against the installed couplings.
         let mut pick: Option<(f64, usize)> = None;
-        for i in 0..n {
-            if raised.contains(&i) {
+        for (i, (&budget, &coupling)) in kth.iter().zip(&sol.k).enumerate() {
+            if raised.iter().any(|&(j, _)| j == i) {
                 continue;
             }
-            let slack = sol.instance.segment(i).kth - sol.k[i];
+            let slack = budget - coupling;
             if slack > 1e-12 && pick.is_none_or(|(s, _)| slack > s) {
                 pick = Some((slack, i));
             }
         }
-        let (slack, i) = match pick {
-            Some(p) => p,
-            None => break,
-        };
-        sol.instance
-            .set_kth(i, sol.instance.segment(i).kth + slack)?;
-        raised.push(i);
-        engine.rebudget(&sol.instance, i);
-        let layout = solver.resolve_after_kth(&sol.instance, engine)?;
-        if layout.num_shields() >= base_shields {
+        let Some((slack, i)) = pick else { break };
+        kth[i] += slack;
+        raised.push((i, kth[i]));
+        // The previous layout (the installed one before the first solve)
+        // equals `solver.solve(&inst)` and kept every shield. If the raise
+        // provably cannot move the solver's output, skip the re-solve.
+        // Phase II seeds its annealer per region, so an installed layout
+        // only matches this solver's output when no annealer runs.
+        let prev_is_solve = resolves > 0 || solver.config().anneal.is_none();
+        let skip = prev_is_solve && budget_swap_preserves_solution(&inst, &kth);
+        inst.set_kth(i, kth[i])?;
+        if skip {
+            #[cfg(debug_assertions)]
+            {
+                let prev = if resolves == 0 {
+                    sol.layout.slots()
+                } else {
+                    scratch.slots()
+                };
+                debug_assert_eq!(
+                    solver.solve(&inst)?.slots(),
+                    prev,
+                    "a proven warm skip changed the layout"
+                );
+            }
             continue;
         }
-        // Tentatively install and verify through the tracker.
-        let removed = (base_shields - layout.num_shields()) as u64;
-        sol.layout = layout;
-        sol.k.clear();
-        sol.k.extend_from_slice(engine.k_values());
+        let layout = solver.resolve_after_kth(&inst, scratch)?;
+        resolves += 1;
+        if layout.num_shields() < base_shields {
+            let k = scratch.k_values().to_vec();
+            return Ok((Trial::Drop { raised, layout, k }, resolves));
+        }
+    }
+    Ok((Trial::NoCandidate, resolves))
+}
+
+/// Commits a trial to its region: installs the layout and couplings and
+/// asks the tracker. A violation puts the saved layout and couplings back
+/// (the trial keeps its own, for the next sweep) and re-patches the
+/// tracker; otherwise the raised budgets go into the instance and
+/// `budgets`.
+#[allow(clippy::too_many_arguments)]
+fn commit_trial(
+    r: RegionIdx,
+    dir: Dir,
+    sol: &mut RegionSolution,
+    trial: &mut Trial,
+    budgets: &mut Budgets,
+    tracker: &mut LskTracker,
+    table: &NoiseTable,
+    stats: &mut RefineStats,
+) -> Result<Recovery> {
+    let Trial::Drop { raised, layout, k } = trial else {
+        return Ok(Recovery::NoCandidate);
+    };
+    let removed = (sol.layout.num_shields() - layout.num_shields()) as u64;
+    std::mem::swap(&mut sol.layout, layout);
+    std::mem::swap(&mut sol.k, k);
+    tracker.region_updated(r, dir, &sol.k, table);
+    if sol.nets.iter().any(|&nid| !tracker.net_is_clean(nid)) {
+        std::mem::swap(&mut sol.layout, layout);
+        std::mem::swap(&mut sol.k, k);
         tracker.region_updated(r, dir, &sol.k, table);
-        if nets.iter().any(|&nid| !tracker.net_is_clean(nid)) {
-            // Roll the transaction back bitwise.
-            engine.restore(snap);
-            sol.layout = engine.to_layout();
-            sol.k.clear();
-            sol.k.extend_from_slice(engine.k_values());
-            for (i2, &kth) in saved_kth.iter().enumerate() {
-                sol.instance.set_kth(i2, kth)?;
-            }
-            tracker.region_updated(r, dir, &sol.k, table);
-            return Ok(Recovery::Rejected);
-        }
-        for &i2 in &raised {
-            budgets.set(nets[i2], r, dir, sol.instance.segment(i2).kth);
-        }
-        stats.pass2_shields_removed += removed;
-        return Ok(Recovery::Recovered);
+        return Ok(Recovery::Rejected);
     }
-    // No shield came out: drop the trial budget raises and re-sync the
-    // evaluator to the (unchanged) installed layout.
-    for (i, &kth) in saved_kth.iter().enumerate() {
+    for &(i, kth) in raised.iter() {
         sol.instance.set_kth(i, kth)?;
+        budgets.set(sol.nets[i], r, dir, kth);
     }
-    engine.restore(snap);
-    Ok(Recovery::NoCandidate)
+    stats.pass2_shields_removed += removed;
+    Ok(Recovery::Recovered)
 }
 
 /// Debug-build oracle: the tracker must stay bit-identical to a full
@@ -776,7 +833,15 @@ mod tests {
                 &refine_cfg,
             )
             .unwrap();
-            assert_eq!(stats_ref, stats_inc, "stats diverged ({refine_cfg:?})");
+            assert_eq!(
+                stats_ref.outcome(),
+                stats_inc.outcome(),
+                "stats diverged ({refine_cfg:?})"
+            );
+            assert!(
+                stats_inc.pass2_resolves <= stats_ref.pass2_resolves,
+                "incremental pass 2 ran more solves ({refine_cfg:?})"
+            );
             assert_eq!(b_ref, b_inc, "budgets diverged ({refine_cfg:?})");
             assert_eq!(s_ref, s_inc, "region solutions diverged ({refine_cfg:?})");
         }
@@ -802,8 +867,8 @@ mod tests {
         assert_eq!(ranked, report.nets_by_severity());
     }
 
-    /// A rejected pass-2 recovery must leave budgets, region solutions and
-    /// the tracker bitwise-untouched — no state leaks from the transaction.
+    /// A rejected pass-2 commit must leave budgets, region solutions and
+    /// the tracker bitwise-untouched — no state leaks from the trial.
     #[test]
     fn rejected_recovery_rolls_back_completely() {
         let (circuit, grid, routes, table, mut budgets, mut sino) = violating_setup();
@@ -830,8 +895,7 @@ mod tests {
         let mut tracker = LskTracker::new(&circuit, &grid, &routes, &sino, &table, vth);
         assert!(tracker.is_clean(), "vth sits above the worst voltage");
         let solver = SinoSolver::new(SolverConfig::default());
-        let mut engines = RegionEngines::default();
-        let mut snap = DeltaSnapshot::new();
+        let mut scratch = DeltaEval::new();
         let mut stats = RefineStats::default();
         let mut rejected = 0;
         for (r, dir) in sino.keys() {
@@ -841,16 +905,17 @@ mod tests {
             let budgets_before = budgets.clone();
             let sino_before = sino.clone();
             let severity_before = tracker.nets_by_severity();
-            let outcome = try_recover_shield(
-                &mut budgets,
-                &mut sino,
-                &mut tracker,
-                &table,
-                &solver,
-                &mut engines,
-                &mut snap,
+            let sol = sino.solution_mut(r, dir).unwrap();
+            let (mut trial, _) = run_trial(sol, &solver, &mut scratch).unwrap();
+            let trial_before = trial.clone();
+            let outcome = commit_trial(
                 r,
                 dir,
+                sol,
+                &mut trial,
+                &mut budgets,
+                &mut tracker,
+                &table,
                 &mut stats,
             )
             .unwrap();
@@ -865,6 +930,9 @@ mod tests {
                         "tracker leaked at {r} {dir:?}"
                     );
                     tracker.oracle_check(&circuit, &grid, &routes, &sino, &table);
+                    // The trial survives its rejection intact, ready for
+                    // the next sweep.
+                    assert_eq!(trial, trial_before, "trial damaged at {r} {dir:?}");
                 }
                 Recovery::NoCandidate => {
                     assert_eq!(budgets, budgets_before);

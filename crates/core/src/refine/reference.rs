@@ -8,10 +8,11 @@
 //! per outer iteration, and pass 2 clones the entire [`RegionSolution`]
 //! (including the O(n²) sensitivity matrix) per recovery attempt — the
 //! from-scratch hot paths the incremental pass in [`super`] replaced with
-//! the cached [`super::tracker::LskTracker`], the severity heap and the
-//! [`gsino_sino::delta::DeltaEval`] transaction API. The incremental pass
-//! must stay **bit-identical** to this module: same final [`Budgets`],
-//! same [`crate::phase2::RegionSino`], same [`RefineStats`]. That contract
+//! the cached [`super::tracker::LskTracker`], the severity heap and
+//! cached region-local pass-2 trials. The incremental pass must stay
+//! **bit-identical** to this module: same final [`Budgets`], same
+//! [`crate::phase2::RegionSino`], same [`RefineStats::outcome`], with no
+//! more pass-2 solves ([`RefineStats::pass2_resolves`]). That contract
 //! is enforced by the `refine_equivalence` property suite, the debug-build
 //! full-`check` oracle inside the incremental pass, and the
 //! `phase_runtime` bench.
@@ -299,6 +300,7 @@ fn try_recover_shield(
         trial.set_kth(i, trial.segment(i).kth + slack)?;
         raised.push(i);
         let layout = solver.solve(&trial)?;
+        stats.pass2_resolves += 1;
         if layout.num_shields() >= base_shields {
             continue;
         }

@@ -102,10 +102,9 @@ impl SinoSolver {
     /// edit is handled by re-running it against the warm scratch), with one
     /// extra guarantee the plain facade does not make: on return, `scratch`
     /// **mirrors the returned layout** — its [`DeltaEval::k_values`] are
-    /// bit-identical to a from-scratch [`evaluate`] of the result. Callers
-    /// that maintain one persistent `DeltaEval` per region (the incremental
-    /// refinement pass) read the couplings straight from the scratch
-    /// instead of paying a full re-evaluate per edit.
+    /// bit-identical to a from-scratch [`evaluate`] of the result. The
+    /// incremental refinement pass reads the couplings straight from the
+    /// scratch instead of paying a full re-evaluate per edit.
     ///
     /// # Errors
     ///
@@ -263,7 +262,6 @@ mod tests {
             // Tighten one budget and warm-resolve: still identical to a
             // cold solve, and the scratch mirrors the result bitwise.
             inst.set_kth(3, 0.05).unwrap();
-            scratch.rebudget(&inst, 3);
             let second = solver.resolve_after_kth(&inst, &mut scratch).unwrap();
             assert_eq!(second, solver.solve(&inst).unwrap());
             assert_eq!(scratch.slots(), second.slots());

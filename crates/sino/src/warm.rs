@@ -7,6 +7,8 @@
 //! provably wasted: if the changed budgets stay *slack* — larger than any
 //! coupling the segment could physically accumulate in this region — the
 //! budgets never bind and the solver retraces the exact same steps.
+//! Phase III's pass-2 trials raise one budget per step and use the same
+//! check to skip a step's re-solve.
 //!
 //! [`budget_swap_preserves_solution`] certifies that, for a fixed
 //! instance, swapping the budget vector `old → new` leaves the output of

@@ -191,6 +191,7 @@ fn scale5k_is_bit_identical_across_thread_counts() {
     assert_eq!(one_internals.budgets, two_internals.budgets, "budgets");
     assert_eq!(one_internals.sino, two_internals.sino, "sino");
     assert_eq!(one.total_shields, two.total_shields, "total_shields");
+    assert_eq!(one.refine_stats, two.refine_stats, "refine_stats");
     assert_eq!(
         one.area.area().to_bits(),
         two.area.area().to_bits(),
