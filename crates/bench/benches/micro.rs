@@ -67,6 +67,19 @@ fn bench_sino(c: &mut Criterion) {
     c.bench_function("keff_evaluate_14segments", |b| {
         b.iter(|| evaluate(std::hint::black_box(&inst), std::hint::black_box(&layout)))
     });
+    // A large region with budgets spread over two decades: placement scans
+    // 48 gaps per segment and repair splits several blocks, so the greedy
+    // kernel's scaling in the region size shows next to the 14-segment case.
+    let mixed: Vec<SegmentSpec> = (0..48)
+        .map(|i| SegmentSpec {
+            net: i,
+            kth: [0.2, 0.6, 1.5, 4.0, 20.0][i as usize % 5],
+        })
+        .collect();
+    let mixed = SinoInstance::from_model(mixed, &SensitivityModel::new(0.5, 11)).expect("valid");
+    c.bench_function("sino_greedy_48segments_mixed_budgets", |b| {
+        b.iter(|| solver.solve(std::hint::black_box(&mixed)).expect("solves"))
+    });
     let _ = Layout::from_order(&[0]);
 }
 

@@ -592,7 +592,8 @@ fn main() {
             println!("{}", results.render_runtime_breakdown());
             println!(
                 "paper reference (S5): routing dominates; our Phase III does more work \n\
-                 per violation than the paper's, so see EXPERIMENTS.md for the measured split"
+                 per violation than the paper's; crates/bench/baseline/BENCH_scale.json \n\
+                 records the measured split on the 5k rung"
             );
         }
         Err(e) => {

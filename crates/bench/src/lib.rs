@@ -40,7 +40,7 @@ pub fn banner(name: &str, config: &ExperimentConfig) -> String {
     format!(
         "== {name} == scale {:.2}, circuits {:?}, rates {:?}\n\
          (set GSINO_SCALE=1.0 GSINO_CIRCUITS=ibm01,ibm02,... for the full suite; \
-         see EXPERIMENTS.md for recorded full-scale results)",
+         committed results are under crates/bench/baseline/)",
         config.scale,
         config
             .circuits

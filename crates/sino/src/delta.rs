@@ -34,7 +34,19 @@
 //! bit. In debug builds every mutation checks itself against a full
 //! `evaluate` oracle; the `proptests` module drives random edit sequences
 //! against the same oracle in any build.
+//!
+//! # Scans
+//!
+//! The greedy solver's scans use a crate-internal mode on top of this.
+//! Placement slides a segment through the gaps with slot-only
+//! transpositions (the coupling caches are stale until
+//! `end_placement`), and a repair split scan sweeps a virtual shield over
+//! a block without editing the slots. Both keep integer fixed-point
+//! couplings from which `crate::bracket` derives certified f64 brackets,
+//! and both compute exact values from the slots on demand. The buffers live
+//! here, so a reused `DeltaEval` reuses them too.
 
+use crate::bracket::{extend_terms, Bracket, CouplingBounds};
 use crate::instance::SinoInstance;
 use crate::keff::Evaluation;
 use crate::layout::{Layout, Slot};
@@ -89,6 +101,35 @@ pub struct DeltaEval {
     shields: usize,
     /// Segments with positive overflow (feasibility counter).
     overflowing: usize,
+    /// Scan state: per-segment coupling in fixed point (see
+    /// [`crate::bracket`]), kept exact by integer updates. During placement
+    /// it follows the slots from [`DeltaEval::reset`] on; during a split
+    /// scan, segments outside the scanned block hold [`OUTSIDE`].
+    fixed: Vec<u64>,
+    /// Placement only: `fixed` as of the scan's best gap so far.
+    fixed_best: Vec<u64>,
+    /// `inv[d]` is the fixed-point image of the f64 term `1.0 / d`
+    /// (`inv[0]` is unused); grown on demand and kept across solves.
+    inv: Vec<u64>,
+    /// Placement: the sliding segment's track. Split scan: the first track
+    /// right of the virtual shield.
+    scan_pos: usize,
+    /// First track of the scanned block.
+    scan_start: usize,
+    /// Signals in the scanned block (the bound on coupling summands).
+    scan_len: usize,
+}
+
+/// `fixed` entry of a segment outside a split scan's block: its coupling
+/// does not change, so the cached (exact) overflow stands in for a bracket.
+const OUTSIDE: u64 = u64::MAX;
+
+/// The segment on a scanned track (scanned blocks hold signals only).
+fn signal(slot: Slot) -> usize {
+    match slot {
+        Slot::Signal(s) => s,
+        Slot::Shield => unreachable!("placement scans hold signals only"),
+    }
 }
 
 impl DeltaEval {
@@ -109,6 +150,8 @@ impl DeltaEval {
         self.cap = 0;
         self.shields = 0;
         self.overflowing = 0;
+        self.fixed.clear();
+        self.fixed.resize(instance.n(), 0);
     }
 
     /// Retargets the evaluator to `instance` holding `layout`, rebuilding
@@ -135,11 +178,7 @@ impl DeltaEval {
                 pos += 1;
             }
         }
-        for p in 0..len.saturating_sub(1) {
-            if self.sens_pair(instance, p) {
-                self.cap += 1;
-            }
-        }
+        self.cap = self.count_sens_pairs(instance);
         self.oracle_check(instance);
     }
 
@@ -382,6 +421,283 @@ impl DeltaEval {
         } else {
             false
         }
+    }
+
+    /// Starts a placement scan: inserts `seg` at track 0 of the shield-free
+    /// layout that the placements since [`DeltaEval::reset`] built.
+    ///
+    /// From the first placement until [`DeltaEval::end_placement`], only
+    /// the slots, the capacitive count and the fixed-point couplings follow
+    /// the edits; the cached `Kᵢ`/overflow values are stale. The overflow of
+    /// a scanned state is read either as a certified bracket
+    /// ([`DeltaEval::overflow_bracket`]) or exactly
+    /// ([`DeltaEval::slide_exact_key`]). Exact values are derived from
+    /// the slots alone, so the states a scan skips cannot change the numbers
+    /// of the states it evaluates.
+    pub(crate) fn begin_slide(&mut self, instance: &SinoInstance, seg: usize) {
+        debug_assert_eq!(self.shields, 0, "placement scans a shield-free layout");
+        self.slots.insert(0, Slot::Signal(seg));
+        if self.sens_pair(instance, 0) {
+            self.cap += 1;
+        }
+        self.scan_pos = 0;
+        self.scan_start = 0;
+        self.scan_len = self.slots.len();
+        extend_terms(&mut self.inv, self.scan_len);
+        // The placed segments all moved one track right, so their mutual
+        // distances, and their couplings to each other, are unchanged; only
+        // the terms with `seg` are new.
+        let row = instance.sensitivity_row(seg);
+        let mut f_seg = 0;
+        for (t, slot) in self.slots.iter().enumerate().skip(1) {
+            let y = signal(*slot);
+            if row[y] {
+                f_seg += self.inv[t];
+                self.fixed[y] += self.inv[t];
+            }
+        }
+        self.fixed[seg] = f_seg;
+        self.mark_best();
+        #[cfg(debug_assertions)]
+        self.check_fixed(instance, 0);
+    }
+
+    /// Records the current placement-scan state as the best gap so far, the
+    /// one [`DeltaEval::end_slide`] returns to.
+    pub(crate) fn mark_best(&mut self) {
+        self.fixed_best.clone_from(&self.fixed);
+    }
+
+    /// Moves the sliding segment one track right (a transposition with its
+    /// right neighbour): O(1) on the slots and capacitive count, and O(block)
+    /// integer updates for the fixed-point couplings of the partners of the
+    /// two moved segments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the sliding segment is already on the last track.
+    pub(crate) fn slide(&mut self, instance: &SinoInstance) {
+        let p = self.scan_pos;
+        let len = self.slots.len();
+        assert!(p + 1 < len, "slide past the last track");
+        for pair in [p.wrapping_sub(1), p, p + 1] {
+            if self.sens_pair(instance, pair) {
+                self.cap -= 1;
+            }
+        }
+        self.slots.swap(p, p + 1);
+        for pair in [p.wrapping_sub(1), p, p + 1] {
+            if self.sens_pair(instance, pair) {
+                self.cap += 1;
+            }
+        }
+        self.scan_pos = p + 1;
+        // `seg` went p → p+1 and `x` went p+1 → p; their mutual distance
+        // stays 1. Every other member `y` sees one of them one track nearer
+        // and the other one track farther: left of the pair `seg` moved
+        // away and `x` closer, right of it the other way round. Differences
+        // are wrapping; the true sums stay in range, so the results are
+        // exact.
+        let DeltaEval {
+            slots, fixed, inv, ..
+        } = self;
+        let (seg, x) = (signal(slots[p + 1]), signal(slots[p]));
+        let (row_seg, row_x) = (instance.sensitivity_row(seg), instance.sensitivity_row(x));
+        let (mut d_seg, mut d_x) = (0u64, 0u64);
+        let mut shift = |y: usize, seg_delta: u64| {
+            // Masks keep the partner tests branch-free.
+            let ds = seg_delta & (row_seg[y] as u64).wrapping_neg();
+            let dx = seg_delta.wrapping_neg() & (row_x[y] as u64).wrapping_neg();
+            fixed[y] = fixed[y].wrapping_add(ds).wrapping_add(dx);
+            d_seg = d_seg.wrapping_add(ds);
+            d_x = d_x.wrapping_add(dx);
+        };
+        for (t, slot) in slots[..p].iter().enumerate() {
+            shift(signal(*slot), inv[p + 1 - t].wrapping_sub(inv[p - t]));
+        }
+        for (d, slot) in slots[p + 2..].iter().enumerate() {
+            shift(signal(*slot), inv[d + 1].wrapping_sub(inv[d + 2]));
+        }
+        fixed[seg] = fixed[seg].wrapping_add(d_seg);
+        fixed[x] = fixed[x].wrapping_add(d_x);
+        #[cfg(debug_assertions)]
+        self.check_fixed(instance, 0);
+    }
+
+    /// The exact placement key `(capacitive violations, total overflow)` of
+    /// the placement-scan state with the sliding segment at track `gap` —
+    /// bit-identical to a from-scratch evaluate of those slots — in
+    /// O(block²). The slots are restored afterwards.
+    pub(crate) fn slide_exact_key(&mut self, instance: &SinoInstance, gap: usize) -> (usize, f64) {
+        let from = self.scan_pos;
+        self.move_slot_raw(from, gap);
+        let cap = self.count_sens_pairs(instance);
+        self.recompute_block(instance, 0);
+        let total = self.total_overflow();
+        self.move_slot_raw(gap, from);
+        (cap, total)
+    }
+
+    /// Ends a placement scan with the sliding segment at track `gap`, which
+    /// must be the gap of the last [`DeltaEval::mark_best`].
+    pub(crate) fn end_slide(&mut self, instance: &SinoInstance, gap: usize) {
+        let from = self.scan_pos;
+        self.move_slot_raw(from, gap);
+        self.cap = self.count_sens_pairs(instance);
+        std::mem::swap(&mut self.fixed, &mut self.fixed_best);
+        #[cfg(debug_assertions)]
+        self.check_fixed(instance, 0);
+    }
+
+    /// Ends placement: brings every cached aggregate back in sync with the
+    /// slots, after which all edits are exact again.
+    pub(crate) fn end_placement(&mut self, instance: &SinoInstance) {
+        if !self.slots.is_empty() {
+            self.recompute_block(instance, 0);
+        }
+        self.oracle_check(instance);
+    }
+
+    /// Starts a split scan of the block `start..start + len`: a virtual
+    /// shield sweeps the block's gaps left to right
+    /// ([`DeltaEval::split_step`]) while the slots stay untouched and exact,
+    /// and the fixed-point couplings follow the virtual split. It starts in
+    /// front of the block, where the couplings are the block's own.
+    pub(crate) fn begin_split_scan(&mut self, instance: &SinoInstance, start: usize, len: usize) {
+        self.scan_pos = start;
+        self.scan_start = start;
+        self.scan_len = len;
+        extend_terms(&mut self.inv, len);
+        self.fixed.clear();
+        self.fixed.resize(instance.n(), OUTSIDE);
+        let block = &self.slots[start..start + len];
+        for slot in block {
+            self.fixed[signal(*slot)] = 0;
+        }
+        for (i, a) in block.iter().map(|s| signal(*s)).enumerate() {
+            let row = instance.sensitivity_row(a);
+            let mut fa = 0u64;
+            for (d, slot) in block[i + 1..].iter().enumerate() {
+                let b = signal(*slot);
+                if row[b] {
+                    fa += self.inv[d + 1];
+                    self.fixed[b] += self.inv[d + 1];
+                }
+            }
+            self.fixed[a] += fa;
+        }
+        #[cfg(debug_assertions)]
+        self.check_fixed(instance, 0);
+    }
+
+    /// Moves the split scan's virtual shield one gap right: the segment
+    /// just right of it joins the left part, gaining its couplings there and
+    /// losing those to the right part. O(block).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shield is already behind the block.
+    pub(crate) fn split_step(&mut self, instance: &SinoInstance) {
+        let (p, block_start) = (self.scan_pos, self.scan_start);
+        let block_end = block_start + self.scan_len;
+        assert!(p < block_end, "split scan past the block");
+        let DeltaEval {
+            slots, fixed, inv, ..
+        } = self;
+        let m = signal(slots[p]);
+        let row = instance.sensitivity_row(m);
+        let mut f_m = fixed[m];
+        for (t, slot) in slots[block_start..p].iter().enumerate() {
+            let y = signal(*slot);
+            if row[y] {
+                let term = inv[p - block_start - t];
+                fixed[y] += term;
+                f_m += term;
+            }
+        }
+        for (d, slot) in slots[p + 1..block_end].iter().enumerate() {
+            let y = signal(*slot);
+            if row[y] {
+                fixed[y] -= inv[d + 1];
+                f_m -= inv[d + 1];
+            }
+        }
+        fixed[m] = f_m;
+        self.scan_pos = p + 1;
+        #[cfg(debug_assertions)]
+        self.check_fixed(instance, self.scan_pos - block_start);
+    }
+
+    /// Certified bracket of [`DeltaEval::total_overflow`] for the scanned
+    /// state (the placement slide's current slots, or the block split at
+    /// the split scan's virtual shield), in O(n): index-order sums of the
+    /// per-segment overflow bounds ([`crate::bracket`]).
+    pub(crate) fn overflow_bracket(&self, instance: &SinoInstance) -> Bracket {
+        let bounds = CouplingBounds::new(self.scan_len.saturating_sub(1));
+        let mut total = Bracket::exact(0.0);
+        for ((&f, spec), &exact) in self
+            .fixed
+            .iter()
+            .zip(instance.segments())
+            .zip(&self.overflow)
+        {
+            if f == OUTSIDE {
+                total.lo += exact;
+                total.hi += exact;
+            } else if f != 0 {
+                let k = bounds.coupling(f);
+                total.lo += (k.lo - spec.kth).max(0.0);
+                total.hi += (k.hi - spec.kth).max(0.0);
+            }
+        }
+        total
+    }
+
+    /// Certified bracket of one scanned segment's coupling `Kᵢ`.
+    pub(crate) fn coupling_bracket(&self, segment: usize) -> Bracket {
+        let f = self.fixed[segment];
+        debug_assert_ne!(f, OUTSIDE, "segment outside the scanned block");
+        CouplingBounds::new(self.scan_len.saturating_sub(1)).coupling(f)
+    }
+
+    /// Debug-build oracle: the fixed-point couplings of the scanned block
+    /// equal a from-scratch sum over its slots, with no pair coupling
+    /// across a virtual shield in front of the block's `split`-th member.
+    #[cfg(debug_assertions)]
+    fn check_fixed(&self, instance: &SinoInstance, split: usize) {
+        let block = &self.slots[self.scan_start..self.scan_start + self.scan_len];
+        let mut scratch: Vec<u64> = self
+            .fixed
+            .iter()
+            .map(|&f| if f == OUTSIDE { OUTSIDE } else { 0 })
+            .collect();
+        for (i, a) in block.iter().map(|s| signal(*s)).enumerate() {
+            for (j, b) in block.iter().map(|s| signal(*s)).enumerate().skip(i + 1) {
+                let same_part = (i < split) == (j < split);
+                if same_part && instance.is_sensitive(a, b) {
+                    scratch[a] += self.inv[j - i];
+                    scratch[b] += self.inv[j - i];
+                }
+            }
+        }
+        assert_eq!(scratch, self.fixed, "fixed-point couplings diverged");
+    }
+
+    /// Moves the slot at `from` to `to` (remove, then insert), touching the
+    /// slots only.
+    fn move_slot_raw(&mut self, from: usize, to: usize) {
+        if from < to {
+            self.slots[from..=to].rotate_left(1);
+        } else {
+            self.slots[to..=from].rotate_right(1);
+        }
+    }
+
+    /// Adjacent sensitive pairs of the current slots, counted from scratch.
+    fn count_sens_pairs(&self, instance: &SinoInstance) -> usize {
+        (0..self.slots.len())
+            .filter(|&p| self.sens_pair(instance, p))
+            .count()
     }
 
     /// Whether the adjacency `(p, p+1)` is a sensitive signal pair.

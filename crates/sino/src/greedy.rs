@@ -15,13 +15,30 @@
 //! 3. **Compaction** — drop every shield whose removal keeps feasibility,
 //!    right to left, minimizing area.
 //!
-//! Every candidate is scored as a trial edit against one reusable
-//! [`DeltaEval`] (apply, read the key, undo) — O(affected block) per
-//! candidate instead of the seed's clone + full re-evaluate
-//! (preserved in [`crate::reference`]). The trial keys are bit-identical
-//! to the seed's, so the produced layouts are too (`sino_equivalence`
-//! property suite).
+//! The decisions are the seed solver's (preserved in [`crate::reference`]),
+//! bit for bit, but most candidates are never scored the way the seed
+//! scores them (clone, insert, full re-evaluate). A candidate is evaluated
+//! exactly only when that can change a decision:
+//!
+//! * placement slides the new segment through the gaps with a slot-only
+//!   transposition, skips the gaps that lose on capacitive violations, and
+//!   settles overflow comparisons from certified brackets (see
+//!   `place_best`);
+//! * an inductive repair sweeps a virtual shield through the worst
+//!   segment's block and settles its `(overflow, K)` comparisons the same
+//!   way; an exact key costs a trial insert and its undo;
+//! * compaction tries each removal as an edit and undoes it.
+//!
+//! The brackets come from integer fixed-point couplings that the scans
+//! update per step, turned into f64 intervals that provably contain the
+//! seed's value. A comparison that every value in the brackets answers the
+//! same way needs no exact value; an ambiguous one computes the exact value
+//! from [`DeltaEval`], whose state is a function of the slots alone. So the
+//! compared numbers, where they matter, equal the seed's, and so do the
+//! layouts (`sino_equivalence` property suite). Debug builds re-run every
+//! scan in full and assert the same choice and every bracket.
 
+use crate::bracket::Bracket;
 use crate::delta::DeltaEval;
 use crate::instance::SinoInstance;
 use crate::layout::{Layout, Slot};
@@ -73,6 +90,7 @@ pub fn solve_greedy_with(instance: &SinoInstance, delta: &mut DeltaEval) -> Layo
     for &seg in &order {
         place_best(instance, delta, seg);
     }
+    delta.end_placement(instance);
     repair(instance, delta);
     compact(instance, delta);
     delta.to_layout()
@@ -105,59 +123,157 @@ pub fn order_only_with(instance: &SinoInstance, delta: &mut DeltaEval) -> Layout
         // first (not the globally K-best) cap-clean gap mirrors that.
         place_first_cap_clean(instance, delta, seg);
     }
+    delta.end_placement(instance);
     delta.to_layout()
 }
 
 /// Inserts `seg` at the first gap that adds no capacitive violation (or
-/// the gap adding the fewest, if none is clean).
+/// the first gap adding the fewest, if none is clean).
 ///
-/// Consecutive gap trials differ by one adjacent transposition, so the
-/// candidate **slides** right via `swap` instead of paying an
-/// insert/remove pair (and its memmoves) per gap. The visited states are
-/// exactly the per-gap insertions, so the decisions match the seed solver.
+/// Only the capacitive count decides, so the segment slides right with
+/// [`DeltaEval::slide`], which keeps that count exact in O(1) per gap,
+/// and no coupling is evaluated.
 fn place_first_cap_clean(instance: &SinoInstance, delta: &mut DeltaEval, seg: usize) {
     let last = delta.area();
-    delta.insert(instance, 0, Slot::Signal(seg));
-    let mut best_cap = delta.cap_violations();
-    if best_cap == 0 {
-        return;
-    }
-    let mut best_gap = 0;
+    delta.begin_slide(instance, seg);
+    let (mut best_gap, mut best_cap) = (0, delta.cap_violations());
     for gap in 1..=last {
-        delta.swap(instance, gap - 1, gap);
-        let cap = delta.cap_violations();
-        if cap == 0 {
-            return;
+        if best_cap == 0 {
+            break;
         }
+        delta.slide(instance);
+        let cap = delta.cap_violations();
         if cap < best_cap {
-            best_cap = cap;
-            best_gap = gap;
+            (best_gap, best_cap) = (gap, cap);
+            delta.mark_best();
         }
     }
-    // `seg` ended at the last gap; move it to the winner.
-    if best_gap != last {
-        delta.relocate(instance, last, best_gap);
+    delta.end_slide(instance, best_gap);
+}
+
+/// Inserts `seg` at the gap the seed solver picks: the first gap of least
+/// capacitive violations, then, scanning the remaining least-cap gaps in
+/// order, any gap whose total overflow beats the best so far by more than
+/// `1e-12`.
+///
+/// Only the states that can decide something are evaluated exactly. The
+/// segment slides right one transposition per gap with
+/// [`DeltaEval::slide`], which keeps the slots and the capacitive count
+/// exact in O(1), so gaps with more capacitive violations than the best so
+/// far are skipped outright: they can never be picked. Every other gap gets
+/// a certified overflow bracket, and the seed's comparison
+/// `overflow < best − 1e-12` is decided from the brackets when they settle
+/// it. Only an ambiguous comparison computes exact overflows, for the best
+/// gap and then for the current one. The exact values are what the seed
+/// computes, since `DeltaEval` derives every coupling from the slots alone,
+/// so the chosen gap is the seed's. Debug builds re-run the full exact scan
+/// and assert both that and every bracket.
+fn place_best(instance: &SinoInstance, delta: &mut DeltaEval, seg: usize) {
+    let last = delta.area();
+    delta.begin_slide(instance, seg);
+    let (mut best_gap, mut best_cap) = (0, delta.cap_violations());
+    let mut best_overflow = delta.overflow_bracket(instance);
+    #[cfg(debug_assertions)]
+    let mut seen = vec![Some(best_overflow)];
+    for gap in 1..=last {
+        // Every overflow bracket is ≥ 0, so once the best's threshold
+        // `overflow − 1e-12` is ≤ 0 only fewer capacitive violations can
+        // win, and with none left nothing can.
+        let unbeatable_overflow = best_overflow.hi - 1e-12 <= 0.0;
+        if unbeatable_overflow && best_cap == 0 {
+            break;
+        }
+        delta.slide(instance);
+        let cap = delta.cap_violations();
+        #[cfg(debug_assertions)]
+        seen.push(None);
+        if cap > best_cap || (cap == best_cap && unbeatable_overflow) {
+            continue;
+        }
+        let mut overflow = delta.overflow_bracket(instance);
+        #[cfg(debug_assertions)]
+        {
+            seen[gap] = Some(overflow);
+        }
+        let better = cap < best_cap || {
+            let mut exact = |gap| delta.slide_exact_key(instance, gap).1;
+            tolerant_less(&mut overflow, gap, &mut best_overflow, best_gap, &mut exact)
+        };
+        if better {
+            (best_gap, best_cap, best_overflow) = (gap, cap, overflow);
+            delta.mark_best();
+        }
+    }
+    #[cfg(debug_assertions)]
+    check_placement(instance, delta, last, &seen, best_gap);
+    delta.end_slide(instance, best_gap);
+}
+
+/// The seed's `current < best − 1e-12` on two bracketed values, decided
+/// from the brackets when they settle it and otherwise from exact values
+/// (`exact(gap)`), the best's first. A bracket that had to be resolved is
+/// narrowed to its exact value in place.
+fn tolerant_less(
+    current: &mut Bracket,
+    current_gap: usize,
+    best: &mut Bracket,
+    best_gap: usize,
+    exact: &mut impl FnMut(usize) -> f64,
+) -> bool {
+    if let Some(less) = current.below_by_tolerance(*best) {
+        return less;
+    }
+    resolve(best, best_gap, exact);
+    if let Some(less) = current.below_by_tolerance(*best) {
+        return less;
+    }
+    resolve(current, current_gap, exact);
+    current.lo < best.lo - 1e-12
+}
+
+/// Narrows `bracket` to the exact value of `gap`, if it is not exact yet.
+fn resolve(bracket: &mut Bracket, gap: usize, exact: &mut impl FnMut(usize) -> f64) {
+    if !bracket.is_exact() {
+        let v = exact(gap);
+        debug_assert!(bracket.contains(v), "bracket misses gap {gap}");
+        *bracket = Bracket::exact(v);
     }
 }
 
-/// Tries every insertion gap for `seg` (sliding, see
-/// [`place_first_cap_clean`]) and keeps the best.
-fn place_best(instance: &SinoInstance, delta: &mut DeltaEval, seg: usize) {
-    let last = delta.area();
-    delta.insert(instance, 0, Slot::Signal(seg));
-    let mut best_key = (delta.cap_violations(), delta.total_overflow());
-    let mut best_gap = 0;
-    for gap in 1..=last {
-        delta.swap(instance, gap - 1, gap);
-        let key = (delta.cap_violations(), delta.total_overflow());
-        if key.0 < best_key.0 || (key.0 == best_key.0 && key.1 < best_key.1 - 1e-12) {
-            best_key = key;
-            best_gap = gap;
+/// Debug-build oracle for [`place_best`]: the seed's full exact scan over
+/// the gaps `0..=last` must pick `chosen`, and every bracket the scan
+/// computed (`seen[gap]`) must hold its gap's exact overflow.
+#[cfg(debug_assertions)]
+fn check_placement(
+    instance: &SinoInstance,
+    delta: &mut DeltaEval,
+    last: usize,
+    seen: &[Option<Bracket>],
+    chosen: usize,
+) {
+    let mut best: Option<(usize, f64, usize)> = None;
+    for gap in 0..=last {
+        let (cap, exact) = delta.slide_exact_key(instance, gap);
+        assert!(
+            seen.get(gap)
+                .copied()
+                .flatten()
+                .is_none_or(|b| b.contains(exact)),
+            "bracket misses gap {gap}"
+        );
+        let better = match best {
+            None => true,
+            Some((bc, bo, _)) => cap < bc || (cap == bc && exact < bo - 1e-12),
+        };
+        if better {
+            best = Some((cap, exact, gap));
         }
     }
-    if best_gap != last {
-        delta.relocate(instance, last, best_gap);
-    }
+    assert_eq!(
+        best.map(|b| b.2),
+        Some(chosen),
+        "pruned placement left the full scan"
+    );
 }
 
 /// Inserts shields until the layout is feasible.
@@ -185,30 +301,12 @@ pub(crate) fn repair(instance: &SinoInstance, delta: &mut DeltaEval) {
             }
             continue;
         }
-        // Inductive overflow: split the worst segment's block at the gap
-        // that minimizes (total overflow, worst segment's K).
+        // Inductive overflow: split the worst segment's block.
         let (worst, _) = delta
             .worst_overflow()
             .expect("infeasible without cap violations");
-        let pos = delta.position_of(worst).expect("segment is placed");
-        let (block_start, block_len) = enclosing_block(delta.slots(), pos);
-        let mut best: Option<(f64, f64, usize)> = None;
-        for gap in (block_start + 1)..(block_start + block_len) {
-            delta.insert_shield(instance, gap);
-            let key = (delta.total_overflow(), delta.k(worst));
-            let better = match &best {
-                None => true,
-                Some((bo, bk, _)) => {
-                    key.0 < *bo - 1e-12 || ((key.0 - *bo).abs() <= 1e-12 && key.1 < *bk - 1e-12)
-                }
-            };
-            if better {
-                best = Some((key.0, key.1, gap));
-            }
-            delta.remove_shield_at(instance, gap);
-        }
-        match best {
-            Some((_, _, gap)) => delta.insert_shield(instance, gap),
+        match best_split(instance, delta, worst) {
+            Some(gap) => delta.insert_shield(instance, gap),
             // Single-segment block cannot overflow; defensive fallback.
             None => return,
         }
@@ -216,6 +314,158 @@ pub(crate) fn repair(instance: &SinoInstance, delta: &mut DeltaEval) {
     debug_assert!(
         delta.feasible(),
         "repair must reach feasibility within its iteration bound"
+    );
+}
+
+/// The gap of `worst`'s block where the seed's repair inserts a shield:
+/// scanning left to right, a gap replaces the best so far when its total
+/// overflow is lower by more than `1e-12`, or equal within `1e-12` with
+/// `worst`'s coupling lower by more than `1e-12`. `None` for a
+/// single-segment block.
+///
+/// A virtual shield sweeps the block ([`DeltaEval::split_step`]) and each
+/// gap's key is bracketed from fixed-point couplings; the layout itself is
+/// never edited during the scan. As in [`place_best`], exact keys (a trial
+/// insert and removal) are computed only when the brackets cannot decide a
+/// comparison, so the chosen gap is the seed's. Debug builds re-run the
+/// full exact scan and assert that and every bracket.
+fn best_split(instance: &SinoInstance, delta: &mut DeltaEval, worst: usize) -> Option<usize> {
+    let pos = delta.position_of(worst).expect("segment is placed");
+    let (block_start, block_len) = enclosing_block(delta.slots(), pos);
+    delta.begin_split_scan(instance, block_start, block_len);
+    let mut best: Option<(usize, SplitKey)> = None;
+    #[cfg(debug_assertions)]
+    let mut seen = Vec::new();
+    for gap in (block_start + 1)..(block_start + block_len) {
+        delta.split_step(instance);
+        let mut key = SplitKey {
+            overflow: delta.overflow_bracket(instance),
+            k_worst: delta.coupling_bracket(worst),
+        };
+        #[cfg(debug_assertions)]
+        seen.push((gap, key));
+        let better = match &mut best {
+            None => true,
+            Some((best_gap, best_key)) => {
+                let mut exact = |gap| split_key(instance, delta, gap, worst);
+                key.beats(gap, best_key, *best_gap, &mut exact)
+            }
+        };
+        if better {
+            best = Some((gap, key));
+        }
+    }
+    let chosen = best.map(|(gap, _)| gap);
+    #[cfg(debug_assertions)]
+    check_split(instance, delta, worst, &seen, chosen);
+    chosen
+}
+
+/// The exact repair key `(total overflow, K of worst)` with a shield at
+/// `gap`, by a trial insert and its undo.
+fn split_key(
+    instance: &SinoInstance,
+    delta: &mut DeltaEval,
+    gap: usize,
+    worst: usize,
+) -> (f64, f64) {
+    delta.insert_shield(instance, gap);
+    let key = (delta.total_overflow(), delta.k(worst));
+    delta.remove_shield_at(instance, gap);
+    key
+}
+
+/// A bracketed repair key.
+#[derive(Debug, Clone, Copy)]
+struct SplitKey {
+    overflow: Bracket,
+    k_worst: Bracket,
+}
+
+impl SplitKey {
+    /// The seed's `overflow < best − 1e-12 || (|overflow − best| <= 1e-12
+    /// && k < best_k − 1e-12)`, in three-valued logic over the brackets.
+    fn decide(&self, best: &SplitKey) -> Option<bool> {
+        let lower = self.overflow.below_by_tolerance(best.overflow);
+        let tied = self.overflow.within_tolerance(best.overflow);
+        let k_lower = self.k_worst.below_by_tolerance(best.k_worst);
+        let tie_break = match (tied, k_lower) {
+            (Some(false), _) | (_, Some(false)) => Some(false),
+            (Some(true), Some(true)) => Some(true),
+            _ => None,
+        };
+        match (lower, tie_break) {
+            (Some(true), _) | (_, Some(true)) => Some(true),
+            (Some(false), Some(false)) => Some(false),
+            _ => None,
+        }
+    }
+
+    /// [`SplitKey::decide`], resolving exact keys (`exact(gap)`, the best's
+    /// first) when the brackets cannot.
+    fn beats(
+        &mut self,
+        gap: usize,
+        best: &mut SplitKey,
+        best_gap: usize,
+        exact: &mut impl FnMut(usize) -> (f64, f64),
+    ) -> bool {
+        if let Some(better) = self.decide(best) {
+            return better;
+        }
+        best.resolve(best_gap, exact);
+        if let Some(better) = self.decide(best) {
+            return better;
+        }
+        self.resolve(gap, exact);
+        self.decide(best).expect("exact keys always compare")
+    }
+
+    /// Narrows both brackets to the exact key of `gap`, if not exact yet.
+    fn resolve(&mut self, gap: usize, exact: &mut impl FnMut(usize) -> (f64, f64)) {
+        if !(self.overflow.is_exact() && self.k_worst.is_exact()) {
+            let (overflow, k) = exact(gap);
+            debug_assert!(
+                self.overflow.contains(overflow) && self.k_worst.contains(k),
+                "bracket misses gap {gap}"
+            );
+            self.overflow = Bracket::exact(overflow);
+            self.k_worst = Bracket::exact(k);
+        }
+    }
+}
+
+/// Debug-build oracle for [`best_split`]: the seed's full exact scan must
+/// pick `chosen`, and every bracket in `seen` must hold its gap's key.
+#[cfg(debug_assertions)]
+fn check_split(
+    instance: &SinoInstance,
+    delta: &mut DeltaEval,
+    worst: usize,
+    seen: &[(usize, SplitKey)],
+    chosen: Option<usize>,
+) {
+    let mut best: Option<(f64, f64, usize)> = None;
+    for &(gap, bracket) in seen {
+        let key = split_key(instance, delta, gap, worst);
+        assert!(
+            bracket.overflow.contains(key.0) && bracket.k_worst.contains(key.1),
+            "bracket misses gap {gap}"
+        );
+        let better = match &best {
+            None => true,
+            Some((bo, bk, _)) => {
+                key.0 < *bo - 1e-12 || ((key.0 - *bo).abs() <= 1e-12 && key.1 < *bk - 1e-12)
+            }
+        };
+        if better {
+            best = Some((key.0, key.1, gap));
+        }
+    }
+    assert_eq!(
+        best.map(|b| b.2),
+        chosen,
+        "pruned repair left the full scan"
     );
 }
 

@@ -143,6 +143,18 @@ impl SinoInstance {
         self.sensitive[i * n + j]
     }
 
+    /// Row `i` of the symmetric sensitivity matrix: entry `j` is
+    /// [`SinoInstance::is_sensitive`]`(i, j)`. Lets inner loops that scan
+    /// one segment against many skip the per-pair bounds checks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub(crate) fn sensitivity_row(&self, i: usize) -> &[bool] {
+        let n = self.n();
+        &self.sensitive[i * n..(i + 1) * n]
+    }
+
     /// The local sensitivity `Sᵢ` of segment `i`: the fraction of the other
     /// segments sensitive to it (Formula (3)'s regressor).
     pub fn local_sensitivity(&self, i: usize) -> f64 {

@@ -59,6 +59,7 @@
 //! `ARCHITECTURE.md` at the repository root.
 
 pub mod anneal;
+mod bracket;
 pub mod delta;
 pub mod exact;
 pub mod greedy;

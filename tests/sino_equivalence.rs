@@ -19,35 +19,69 @@ use gsino_sino::layout::Layout;
 use gsino_sino::solver::{SinoSolver, SolverConfig};
 use gsino_sino::{greedy, reference};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn instance(n: usize, rate: f64, kth: f64, seed: u64) -> SinoInstance {
     let segs = (0..n).map(|i| SegmentSpec { net: i as u32, kth }).collect();
     SinoInstance::from_model(segs, &SensitivityModel::new(rate, seed)).expect("valid instance")
 }
 
+/// An instance whose budgets differ per segment: log-uniform in
+/// `[1e-3, 10^1.5]`, drawn from `budget_seed`.
+fn mixed_instance(n: usize, rate: f64, budget_seed: u64, seed: u64) -> SinoInstance {
+    let mut rng = StdRng::seed_from_u64(budget_seed);
+    let segs = (0..n)
+        .map(|i| SegmentSpec {
+            net: i as u32,
+            kth: 10f64.powf(rng.gen_range(-3.0..1.5)),
+        })
+        .collect();
+    SinoInstance::from_model(segs, &SensitivityModel::new(rate, seed)).expect("valid instance")
+}
+
+/// Greedy and the seed greedy agree on `inst`, layout and evaluation.
+fn assert_greedy_agrees(inst: &SinoInstance, what: &str) {
+    let fast = greedy::solve_greedy(inst);
+    let slow = reference::solve_greedy(inst);
+    assert_eq!(fast, slow, "{what}");
+    assert_eq!(evaluate(inst, &fast), evaluate(inst, &slow), "{what}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The delta-driven greedy solver returns bit-identical layouts to the
-    /// seed greedy solver, and its evaluation matches a from-scratch one.
+    /// seed greedy solver, and its evaluation matches a from-scratch one:
+    /// with one uniform budget or per-segment budgets, and with a drawn
+    /// sensitivity rate or the tie-heavy rates 0 and 1 (`rate_mode` 1, 2).
     #[test]
     fn greedy_matches_reference(
-        n in 0usize..16,
+        n in 0usize..24,
         rate_pct in 0u32..=100,
+        rate_mode in 0u8..3,
         kth_exp in -3i32..2,
+        budget_seed in 0u64..5000,
+        mixed in 0u8..2,
         seed in 0u64..5000,
     ) {
-        let inst = instance(n, rate_pct as f64 / 100.0, 10f64.powi(kth_exp), seed);
-        let fast = greedy::solve_greedy(&inst);
-        let slow = reference::solve_greedy(&inst);
-        prop_assert_eq!(&fast, &slow);
-        prop_assert_eq!(evaluate(&inst, &fast), evaluate(&inst, &slow));
+        let rate = match rate_mode {
+            0 => rate_pct as f64 / 100.0,
+            1 => 0.0,
+            _ => 1.0,
+        };
+        let inst = if mixed == 1 {
+            mixed_instance(n, rate, budget_seed, seed)
+        } else {
+            instance(n, rate, 10f64.powi(kth_exp), seed)
+        };
+        assert_greedy_agrees(&inst, "small");
     }
 
     /// The delta-driven net-ordering baseline matches the seed one.
     #[test]
     fn order_only_matches_reference(
-        n in 0usize..16,
+        n in 0usize..40,
         rate_pct in 0u32..=100,
         seed in 0u64..5000,
     ) {
@@ -130,6 +164,42 @@ proptest! {
             }
             let layout = delta.to_layout();
             prop_assert_eq!(delta.evaluation(), evaluate(&inst, &layout), "op {}", i);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Regions up to 60 segments with per-segment budgets. The placement
+    /// scan's overflow brackets widen with the block length, so this is
+    /// where they most often fail to decide and exact evaluation has to
+    /// take over.
+    #[test]
+    fn greedy_matches_reference_large_mixed(
+        n in 24usize..=60,
+        rate_pct in 0u32..=100,
+        budget_seed in 0u64..5000,
+        seed in 0u64..5000,
+    ) {
+        let inst = mixed_instance(n, rate_pct as f64 / 100.0, budget_seed, seed);
+        assert_greedy_agrees(&inst, "large");
+    }
+}
+
+/// Tie-heavy regions at full size: with rate 0 no placement gap differs,
+/// and with rate 1 and one budget mirrored gaps tie in exact arithmetic,
+/// so the `1e-12` tolerance decides between near-equal f64 overflows.
+#[test]
+fn tie_heavy_regions_match_reference() {
+    for rate in [0.0, 1.0] {
+        for n in [7, 19, 40, 60] {
+            for kth in [0.05, 0.7, 3.0] {
+                let inst = instance(n, rate, kth, n as u64);
+                assert_greedy_agrees(&inst, &format!("rate {rate} n {n} kth {kth}"));
+            }
+            let inst = mixed_instance(n, rate, 7, n as u64);
+            assert_greedy_agrees(&inst, &format!("rate {rate} n {n} mixed budgets"));
         }
     }
 }
