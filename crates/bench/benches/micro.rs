@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gsino_circuits::generator::generate;
 use gsino_circuits::spec::CircuitSpec;
+use gsino_core::cancel::CancelToken;
 use gsino_core::router::reference::SeedAstarRouter;
 use gsino_core::router::{route_all, AstarRouter, ShieldTerm, Weights};
 use gsino_grid::geom::{Point, Rect};
@@ -126,10 +127,10 @@ fn astar_workload() -> (Circuit, RegionGrid) {
     (circuit, grid)
 }
 
-/// Seed HashMap/BinaryHeap A* vs the flat-array scratch kernel vs the
-/// speculative parallel router, all on the same 500-net circuit. The
-/// route sets are asserted byte-identical before any timing is reported,
-/// so a regression in either axis (speed or fidelity) fails the bench.
+/// Seed HashMap/BinaryHeap A* vs the flat-array scratch kernel, both on
+/// the same 500-net circuit. The route sets are asserted byte-identical
+/// before any timing is reported, so a regression in either axis (speed
+/// or fidelity) fails the bench.
 fn bench_astar_search(c: &mut Criterion) {
     let (circuit, grid) = astar_workload();
     let weights = Weights::default();
@@ -143,19 +144,13 @@ fn bench_astar_search(c: &mut Criterion) {
         .route_prepared(&circuit, &conns)
         .expect("seed routes");
     let mut scratch = flat_router.make_scratch();
+    let never = CancelToken::never();
     let (flat_routes, _) = flat_router
-        .route_prepared(&circuit, &conns, &mut scratch)
+        .route_prepared(&circuit, &conns, &mut scratch, &never)
         .expect("flat routes");
-    let (par_routes, _) = flat_router
-        .route_with_threads(&circuit, 0)
-        .expect("parallel");
     assert_eq!(
         seed_routes, flat_routes,
         "flat A* must match the seed bit for bit"
-    );
-    assert_eq!(
-        seed_routes, par_routes,
-        "parallel A* must match the seed bit for bit"
     );
     assert_eq!(
         seed_routes.total_wirelength(&grid),
@@ -171,7 +166,7 @@ fn bench_astar_search(c: &mut Criterion) {
     c.bench_function("astar_search_flat_scratch_500nets", |b| {
         b.iter(|| {
             flat_router
-                .route_prepared(std::hint::black_box(&circuit), &conns, &mut scratch)
+                .route_prepared(std::hint::black_box(&circuit), &conns, &mut scratch, &never)
                 .expect("routes")
         })
     });
@@ -186,7 +181,7 @@ fn bench_astar_search(c: &mut Criterion) {
         b.iter(|| {
             let circuit = std::hint::black_box(&circuit);
             flat_router
-                .route_prepared(circuit, &flat_router.prepare(circuit), &mut scratch)
+                .route_prepared(circuit, &flat_router.prepare(circuit), &mut scratch, &never)
                 .expect("routes")
         })
     });

@@ -83,22 +83,16 @@ fn phase1_speedup_report() -> KernelTimings {
     // rebuilt search/assembly core.
     let conns = flat_router.prepare(&circuit);
     let mut scratch = flat_router.make_scratch();
+    let never = CancelToken::never();
     let seed_routes = seed_router
         .route_prepared(&circuit, &conns)
         .expect("seed routes");
     let (flat_routes, _) = flat_router
-        .route_prepared(&circuit, &conns, &mut scratch)
+        .route_prepared(&circuit, &conns, &mut scratch, &never)
         .expect("flat routes");
-    let (par_routes, stats) = flat_router
-        .route_prepared_with_threads(&circuit, &conns, 0)
-        .expect("parallel");
     assert_eq!(
         seed_routes, flat_routes,
         "flat Phase I must match the seed bit for bit"
-    );
-    assert_eq!(
-        seed_routes, par_routes,
-        "parallel Phase I must match the seed bit for bit"
     );
 
     let reps = 7;
@@ -109,12 +103,7 @@ fn phase1_speedup_report() -> KernelTimings {
     });
     let t_flat = time_median(reps, || {
         flat_router
-            .route_prepared(&circuit, &conns, &mut scratch)
-            .expect("routes");
-    });
-    let t_par = time_median(reps, || {
-        flat_router
-            .route_prepared_with_threads(&circuit, &conns, 0)
+            .route_prepared(&circuit, &conns, &mut scratch, &never)
             .expect("routes");
     });
     let t_prepare = time_median(reps, || {
@@ -127,12 +116,6 @@ fn phase1_speedup_report() -> KernelTimings {
         "  flat scratch A*           {:>9.2} ms   ({:.2}x vs seed)",
         t_flat * 1e3,
         t_seed / t_flat
-    );
-    println!(
-        "  flat parallel A*          {:>9.2} ms   ({:.2}x vs seed, {} reroutes)",
-        t_par * 1e3,
-        t_seed / t_par,
-        stats.speculative_reroutes
     );
     println!(
         "  total wirelength identical: {} um",

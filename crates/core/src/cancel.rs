@@ -3,9 +3,10 @@
 //! ECO sessions replay edits under deadline pressure: a replay that blows
 //! its budget must stop *cleanly*, with the session's transactional undo
 //! log restoring the pre-edit state bit for bit. The phase drivers
-//! (Phase I's deletion loop, Phase II's region worklist, Phase III's
-//! refinement passes) poll a shared [`CancelToken`] at loop granularity
-//! and bail out with [`CoreError::Canceled`](crate::CoreError);
+//! (Phase I's deletion and A* connection loops, Phase II's region
+//! worklist, Phase III's refinement passes) poll a shared [`CancelToken`]
+//! at loop granularity and bail out with
+//! [`CoreError::Canceled`](crate::CoreError);
 //! they never leave partial state behind that the caller cannot undo,
 //! because every mutation either happens in a worker-local scratch or is
 //! covered by the session's undo log.
@@ -79,6 +80,7 @@ impl CancelToken {
     /// A token that can never fire. Each phase has one implementation
     /// that takes a token; [`crate::pipeline::run_gsino`], the baselines
     /// and the plain entries ([`crate::router::IdRouter::route`],
+    /// [`crate::router::AstarRouter::route`],
     /// [`crate::phase2::solve_regions_with_engine`],
     /// [`crate::refine::refine`]) pass this one, so a poll costs one
     /// branch off the session path.

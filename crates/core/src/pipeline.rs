@@ -80,9 +80,9 @@ pub struct GsinoConfig {
     pub solver: SolverConfig,
     /// Phase III bounds.
     pub refine: RefineConfig,
-    /// Worker threads for Phase I's A* batches, Phase II's region solves
-    /// and Phase III's pass-2 trials (0 = available parallelism). Every
-    /// count gives the same result.
+    /// Worker threads for Phase II's region solves and Phase III's pass-2
+    /// trials (0 = available parallelism). Every count gives the same
+    /// result. Phase I routes on the calling thread.
     pub threads: usize,
     /// Pre-fitted Formula (3) model; `None` fits one per GSINO run.
     pub nss_model: Option<NssModel>,
@@ -267,7 +267,8 @@ impl GsinoConfigBuilder {
         self
     }
 
-    /// Worker threads (0 = available parallelism).
+    /// Worker threads for Phase II and Phase III (0 = available
+    /// parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -585,14 +586,10 @@ pub(crate) fn route_stage(
             let router = IdRouter::new(grid, config.weights, shield_term);
             router.route_prepared(circuit, &router.prepare(circuit), cancel)
         }
-        // Phase I parallelism honours the same thread budget as Phase II;
-        // the speculative batches commit in sequential order, so the
-        // output is identical for every thread count. The batches poll no
-        // token, so the deadline is checked once before routing starts.
         RouterKind::SequentialAstar => {
-            cancel.check("phase1")?;
-            AstarRouter::new(grid, config.weights, shield_term)
-                .route_with_threads(circuit, config.threads)
+            let router = AstarRouter::new(grid, config.weights, shield_term);
+            let mut scratch = router.make_scratch();
+            router.route_prepared(circuit, &router.prepare(circuit), &mut scratch, cancel)
         }
     }
 }
@@ -703,6 +700,21 @@ mod tests {
         assert!(outcome.area.area() > 0.0);
         assert!(outcome.refine_stats.is_some());
         assert!(outcome.timings.total_s > 0.0);
+    }
+
+    #[test]
+    fn astar_flow_with_fired_token_is_canceled_in_phase1() {
+        let config = GsinoConfig {
+            router: RouterKind::SequentialAstar,
+            ..fast_config()
+        };
+        let token = CancelToken::new();
+        token.cancel();
+        let result = run_flow(&small_circuit(20), &config, Approach::Gsino, &token);
+        assert!(
+            matches!(result, Err(CoreError::Canceled { phase: "phase1" })),
+            "expected a phase-1 cancellation"
+        );
     }
 
     #[test]
